@@ -7,7 +7,7 @@ use aoj_datagen::queries::eq5;
 use aoj_datagen::stream::{fluctuating, interleave};
 use aoj_datagen::tpch::{ScaledGb, TpchDb};
 use aoj_datagen::zipf::Skew;
-use aoj_operators::{run, OperatorKind, RunConfig};
+use aoj_operators::{run, OperatorKind, SessionBuilder};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn small_db(skew: Skew) -> TpchDb {
@@ -38,8 +38,10 @@ fn bench_operator_comparison(c: &mut Criterion) {
             &kind,
             |b, &kind| {
                 b.iter(|| {
-                    let cfg = RunConfig::new(16, kind);
-                    black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                    let b = SessionBuilder::new(16, kind)
+                        .with_predicate(w.predicate.clone())
+                        .with_workload(w.name);
+                    black_box(run(&arrivals, &b))
                 });
             },
         );
@@ -56,8 +58,10 @@ fn bench_skew_resilience(c: &mut Criterion) {
         let arrivals = interleave(&w, 7);
         g.bench_with_input(BenchmarkId::from_parameter(skew.label()), &skew, |b, _| {
             b.iter(|| {
-                let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-                black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                let b = SessionBuilder::new(16, OperatorKind::Dynamic)
+                    .with_predicate(w.predicate.clone())
+                    .with_workload(w.name);
+                black_box(run(&arrivals, &b))
             });
         });
     }
@@ -73,8 +77,10 @@ fn bench_fluctuation(c: &mut Criterion) {
         let arrivals = fluctuating(&w, k, 1);
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
-                let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-                black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                let b = SessionBuilder::new(16, OperatorKind::Dynamic)
+                    .with_predicate(w.predicate.clone())
+                    .with_workload(w.name);
+                black_box(run(&arrivals, &b))
             });
         });
     }

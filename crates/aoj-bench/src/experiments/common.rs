@@ -6,7 +6,7 @@ use aoj_datagen::queries::Workload;
 use aoj_datagen::stream::{interleave, Arrivals};
 use aoj_datagen::tpch::{ScaledGb, TpchDb};
 use aoj_datagen::zipf::Skew;
-use aoj_operators::{run, OperatorKind, RunConfig, RunReport, SourcePacing};
+use aoj_operators::{run, OperatorKind, RunReport, SessionBuilder, SourcePacing};
 
 /// Simulated-GB → RAM-budget calibration: one simulated GB of lineitem is
 /// ~6000 rows × 144 B ≈ 0.86 "simulated MB". The paper gives each joiner a
@@ -51,11 +51,7 @@ pub fn run_operator(
     j: u32,
     ram_budget: u64,
 ) -> RunReport {
-    let mut cfg = RunConfig::new(j, kind);
-    cfg.ram_budget = ram_budget;
-    cfg.spill_penalty = SPILL_PENALTY;
-    cfg.decision = warmup_decision(arrivals);
-    run(arrivals, &w.predicate, w.name, &cfg)
+    run_operator_paced(kind, w, arrivals, j, ram_budget, SourcePacing::saturating())
 }
 
 /// Run with explicit pacing (latency experiments).
@@ -67,12 +63,20 @@ pub fn run_operator_paced(
     ram_budget: u64,
     pacing: SourcePacing,
 ) -> RunReport {
-    let mut cfg = RunConfig::new(j, kind);
-    cfg.ram_budget = ram_budget;
-    cfg.spill_penalty = SPILL_PENALTY;
-    cfg.decision = warmup_decision(arrivals);
-    cfg.pacing = pacing;
-    run(arrivals, &w.predicate, w.name, &cfg)
+    let mut b = builder(j, kind, w)
+        .with_ram_budget(ram_budget)
+        .with_pacing(pacing);
+    b.data_plane.spill_penalty = SPILL_PENALTY;
+    b.elasticity.decision = warmup_decision(arrivals);
+    run(arrivals, &b)
+}
+
+/// A session builder for `kind` on `j` joiners over workload `w`: its
+/// predicate, and its name as the report label.
+pub fn builder(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
 }
 
 /// The paper's adaptation warm-up (§5.4: "begin adapting after at least

@@ -255,22 +255,19 @@ impl EpochJoiner {
         j
     }
 
-    /// Reconstruct a stable joiner from checkpointed state: `tuples` are
+    /// Load checkpointed state into a fresh stable joiner: `tuples` are
     /// the live τ set of a quiesced joiner at `epoch`, inserted and then
     /// sealed into one segment so the restored bulk expires wholesale
     /// under windowed eviction (see [`crate::lifecycle`]).
-    pub fn restored(
-        make_index: &dyn Fn() -> Box<dyn JoinIndex>,
-        n_reshufflers: usize,
-        epoch: Epoch,
-        tuples: &[Tuple],
-    ) -> EpochJoiner {
-        let mut j = EpochJoiner::new(make_index, n_reshufflers);
-        j.epoch = epoch;
-        j.new_epoch = epoch;
-        j.tau.insert_batch(tuples);
-        j.tau.seal_segment();
-        j
+    pub fn restore(&mut self, epoch: Epoch, tuples: &[Tuple]) {
+        assert!(
+            self.born && self.epoch == 0 && !self.migrating && self.tau.is_empty(),
+            "restore needs a fresh stable joiner"
+        );
+        self.epoch = epoch;
+        self.new_epoch = epoch;
+        self.tau.insert_batch(tuples);
+        self.tau.seal_segment();
     }
 
     /// Seal the live (τ) index's active run into a sub-window segment

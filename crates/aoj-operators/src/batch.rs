@@ -27,7 +27,8 @@
 use aoj_core::tuple::Tuple;
 use aoj_simnet::{SimDuration, SimTime};
 
-/// Data-plane batching knobs (`RunConfig` carries one of these).
+/// Data-plane batching knobs, resolved from a session's
+/// [`DataPlaneSection`](crate::session::DataPlaneSection).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Coalescing-buffer flush threshold in tuples. 1 restores the

@@ -8,35 +8,35 @@
 //! reshuffler task and one joiner task; reshuffler 0 doubles as the
 //! controller; one extra machine hosts the stream source.
 //!
-//! The offline entry points remain: [`run`] executes a pre-materialized
-//! arrival sequence and is now a thin wrapper over
-//! [`JoinSession`] — open, push everything,
-//! close — which reproduces the pre-session simulator timelines bit for
-//! bit (the golden pins in `tests/batching.rs` hold). [`run_on`] drives
-//! the same phases synchronously on any caller-built backend.
-//! [`RunConfig`] is the legacy flat configuration, kept working as an
-//! alias for [`SessionBuilder`] (see
-//! [`SessionBuilder::from_run_config`]); new code should build sessions
-//! directly.
+//! Every grid operator is assembled one way: `restore_grid` builds the
+//! topology a [`Checkpoint`] describes, and a fresh operator restores
+//! its `genesis_checkpoint` (the empty snapshot at epoch 0).
+//!
+//! The offline entry points: [`run`] executes a pre-materialized arrival
+//! sequence as a thin wrapper over [`JoinSession`] — open, push
+//! everything, close — and reproduces the pre-session simulator
+//! timelines bit for bit (the golden pins in `tests/batching.rs` hold).
+//! [`run_on`] drives the same phases synchronously on any caller-built
+//! backend. Both take the same [`SessionBuilder`] a live session opens
+//! with.
 
 use aoj_core::competitive::CompetitiveTracker;
-use aoj_core::decision::DecisionConfig;
-use aoj_core::epoch::EpochJoiner;
+use aoj_core::decision::DeciderSnapshot;
+use aoj_core::elastic::ElasticLayout;
 use aoj_core::ilf::optimal_mapping;
 use aoj_core::lifecycle::{Checkpoint, JoinerCheckpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
-use aoj_core::predicate::Predicate;
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::stream::Arrivals;
-use aoj_joinalg::{index_for, SpillGauge};
-use aoj_simnet::{CostModel, ExecBackend, MachineId, NetworkConfig, SimDuration, SimTime, TaskId};
+use aoj_joinalg::SpillGauge;
+use aoj_simnet::{ExecBackend, MachineId, SimDuration, SimTime, TaskId};
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::batch::{BatchConfig, DataCoalescer};
-use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
+use crate::batch::DataCoalescer;
+use crate::elastic_runtime::provisioned_joiners;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::SkewSummary;
@@ -47,7 +47,7 @@ use crate::reshuffler::{
 use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
 use crate::shj::{ShjJoiner, ShjReshuffler};
 use crate::skew::{SkewBoard, SkewState};
-use crate::source::{SourcePacing, SourceTask};
+use crate::source::SourceTask;
 
 /// The four operators of §5.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,269 +89,64 @@ pub enum BackendChoice {
     Tcp,
 }
 
-/// Configuration of one run — the **legacy flat form** of
-/// [`SessionBuilder`], kept as a working alias for the experiment
-/// harness and the existing test corpus. Every field maps 1:1 onto a
-/// builder section ([`SessionBuilder::from_run_config`]); new code
-/// should use [`SessionBuilder`] and [`JoinSession`] directly.
-#[derive(Clone, Debug)]
-pub struct RunConfig {
-    /// Number of joiners (machines). Power of two for grid operators.
-    pub j: u32,
-    /// Which operator to run.
-    pub kind: OperatorKind,
-    /// Which backend executes it.
-    pub backend: BackendChoice,
-    /// Alg. 2 parameters (ε, warm-up) — `min_total` is in *bytes*.
-    pub decision: DecisionConfig,
-    /// Source pacing.
-    pub pacing: SourcePacing,
-    /// Per-joiner RAM budget in bytes (`u64::MAX` = in-memory).
-    pub ram_budget: u64,
-    /// Disk-tier cost multiplier.
-    pub spill_penalty: u64,
-    /// CPU cost model.
-    pub cost: CostModel,
-    /// Network parameters.
-    pub network: NetworkConfig,
-    /// Seed for ticket draws.
-    pub seed: u64,
-    /// Data-plane batch size: tuples per coalesced
-    /// [`IngestBatch`](crate::messages::OpMsg::IngestBatch)/
-    /// [`DataBatch`](crate::messages::OpMsg::DataBatch) message.
-    /// 1 restores the per-tuple data plane bit-for-bit.
-    pub batch_tuples: usize,
-    /// Age bound for partially filled coalescing buffers, in
-    /// microseconds: a buffer older than this is force-flushed so
-    /// batching adds bounded latency, never a stall.
-    pub batch_max_delay_us: u64,
-    /// Progress sample spacing in sequence numbers.
-    pub sample_every: u64,
-    /// Flow-control window: max tuple copies in flight between the source
-    /// and the joiners (0 disables backpressure). Defaults to `64 × J`.
-    pub window_copies: u64,
-    /// Run migrations in the blocking, Flux-style mode (§4.3's strawman):
-    /// joiners stall new data until state relocation completes. Used by
-    /// the `ablation-blocking` experiment; the paper's operator is
-    /// non-blocking.
-    pub blocking_migrations: bool,
-    /// Record every emitted pair's `(R seq, S seq)` identity in
-    /// [`RunReport::match_pairs`] — for cross-backend equivalence tests;
-    /// costs memory proportional to the output size.
-    pub collect_matches: bool,
-    /// Live elasticity (§4.2.2): start with `j` provisioned joiners,
-    /// expand ×4 at migration checkpoints where every active joiner
-    /// stores more than `capacity_bytes / 2`, and (when armed via
-    /// [`ElasticConfig::with_contraction`]) merge 4→1 at checkpoints
-    /// where every active joiner sits below the low-water mark.
-    /// `j · 4^max_expansions` machine *slots* are registered, but worker
-    /// shards are acquired at trigger time and handed back at
-    /// contraction (trigger-time provisioning). Dynamic only.
-    pub elastic: Option<ElasticConfig>,
-}
-
-impl RunConfig {
-    /// Sensible defaults for `j` joiners: simulator backend, saturating
-    /// source, in-memory, ε = 1, no warm-up gate.
-    pub fn new(j: u32, kind: OperatorKind) -> RunConfig {
-        RunConfig {
-            j,
-            kind,
-            backend: BackendChoice::Sim,
-            decision: DecisionConfig::default(),
-            pacing: SourcePacing::saturating(),
-            ram_budget: u64::MAX,
-            spill_penalty: 20,
-            cost: CostModel::default(),
-            network: NetworkConfig::default(),
-            seed: 0x5EED_0001,
-            batch_tuples: BatchConfig::default().batch_tuples,
-            batch_max_delay_us: BatchConfig::default().max_delay.as_micros(),
-            sample_every: 0, // derived from input size when 0
-            window_copies: 64 * j as u64,
-            blocking_migrations: false,
-            collect_matches: false,
-            elastic: None,
-        }
+/// Resolve `b` plus the offline-only knowledge (input size, full stream
+/// statistics) into the builder an offline run executes with.
+fn offline_builder(arrivals: &Arrivals, b: &SessionBuilder) -> SessionBuilder {
+    let mut b = b.clone();
+    // The offline harness reports the competitive trace; it holds the
+    // whole stream in memory anyway.
+    b.backend.track_competitive = true;
+    if b.backend.sample_every == 0 {
+        b.backend.sample_every = (arrivals.len() as u64 / 200).max(1);
     }
-
-    /// Builder: set the per-joiner RAM budget in bytes.
-    pub fn with_ram_budget(mut self, bytes: u64) -> RunConfig {
-        self.ram_budget = bytes;
-        self
-    }
-
-    /// Builder: select the execution backend.
-    pub fn with_backend(mut self, backend: BackendChoice) -> RunConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// Builder: arm live elasticity (Dynamic only).
-    pub fn with_elastic(mut self, elastic: ElasticConfig) -> RunConfig {
-        self.elastic = Some(elastic);
-        self
-    }
-
-    /// Builder: set the data-plane batch size (1 = per-tuple plane).
-    pub fn with_batch_tuples(mut self, batch_tuples: usize) -> RunConfig {
-        self.batch_tuples = batch_tuples.max(1);
-        self
-    }
-
-    /// Builder: set the ticket seed.
-    pub fn with_seed(mut self, seed: u64) -> RunConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder: set the source pacing.
-    pub fn with_pacing(mut self, pacing: SourcePacing) -> RunConfig {
-        self.pacing = pacing;
-        self
-    }
-
-    /// Builder: set the flow-control window, in tuple copies (0 disables
-    /// backpressure).
-    pub fn with_window_copies(mut self, copies: u64) -> RunConfig {
-        self.window_copies = copies;
-        self
-    }
-
-    /// Builder: run migrations in the blocking, Flux-style ablation mode.
-    pub fn with_blocking_migrations(mut self, blocking: bool) -> RunConfig {
-        self.blocking_migrations = blocking;
-        self
-    }
-
-    /// Builder: record every emitted pair in
-    /// [`RunReport::match_pairs`].
-    pub fn with_collect_matches(mut self, collect: bool) -> RunConfig {
-        self.collect_matches = collect;
-        self
-    }
-
-    /// Builder: set the Alg. 2 decision parameters.
-    pub fn with_decision(mut self, decision: DecisionConfig) -> RunConfig {
-        self.decision = decision;
-        self
-    }
-
-    /// Builder: set the CPU cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> RunConfig {
-        self.cost = cost;
-        self
-    }
-
-    /// Builder: set the network parameters.
-    pub fn with_network(mut self, network: NetworkConfig) -> RunConfig {
-        self.network = network;
-        self
-    }
-
-    /// Builder: set the disk-tier cost multiplier.
-    pub fn with_spill_penalty(mut self, penalty: u64) -> RunConfig {
-        self.spill_penalty = penalty;
-        self
-    }
-
-    /// Builder: set the coalescing-buffer age bound, in microseconds.
-    pub fn with_batch_max_delay_us(mut self, us: u64) -> RunConfig {
-        self.batch_max_delay_us = us;
-        self
-    }
-
-    /// Builder: set the progress sample spacing (0 derives it from the
-    /// input size).
-    pub fn with_sample_every(mut self, every: u64) -> RunConfig {
-        self.sample_every = every;
-        self
-    }
-
-    /// The batching knobs as a [`BatchConfig`].
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            batch_tuples: self.batch_tuples.max(1),
-            max_delay: aoj_simnet::SimDuration::from_micros(self.batch_max_delay_us.max(1)),
-        }
-    }
-}
-
-/// Resolve a legacy [`RunConfig`] plus the offline-only knowledge (input
-/// size, full stream statistics) into a session builder.
-fn offline_builder(
-    arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
-) -> SessionBuilder {
-    let mut b = SessionBuilder::from_run_config(cfg)
-        .with_predicate(predicate.clone())
-        .with_workload(workload_name);
-    b.backend.sample_every = sample_every(cfg, arrivals.len());
     // The offline harness materializes the whole stream up front, so the
     // source must see everything available from the first event — that
     // is what keeps the simulator timelines bit-identical to the
     // pre-session code.
     b.source.queue_tuples = arrivals.len().max(1);
-    if cfg.kind == OperatorKind::StaticOpt {
+    if b.kind == OperatorKind::StaticOpt {
         let (r, s) = stream_bytes(arrivals);
-        b.oracle_mapping = Some(optimal_mapping(cfg.j, r.max(1), s.max(1)));
+        b.oracle_mapping = Some(optimal_mapping(b.j, r.max(1), s.max(1)));
     }
     b
 }
 
-/// Run `kind` over the arrival sequence on the configured backend and
+/// Run `b.kind` over the arrival sequence on the configured backend and
 /// return the report. A thin wrapper over the live session API: open,
 /// push everything, close.
-pub fn run(
-    arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
-) -> RunReport {
-    let builder = offline_builder(arrivals, predicate, workload_name, cfg);
-    let mut session = JoinSession::open(builder);
+///
+/// Offline runs always track the competitive trace, derive the progress
+/// sample spacing from the input size when `b.backend.sample_every` is
+/// 0, and give a [`OperatorKind::StaticOpt`] run the oracle mapping of
+/// the whole arrival sequence.
+pub fn run(arrivals: &Arrivals, b: &SessionBuilder) -> RunReport {
+    let mut session = JoinSession::open(offline_builder(arrivals, b));
     session
         .push_batch(arrivals.iter().copied())
         .expect("fresh session rejected input");
     session.close()
 }
 
-/// Run `cfg.kind` on a caller-provided backend, synchronously: the whole
+/// Run `b.kind` on a caller-provided backend, synchronously: the whole
 /// arrival sequence is pre-loaded into the ingest queue and the backend
 /// runs to quiescence.
 ///
 /// The backend's own scheduling configuration applies. Note that
-/// `cfg.network` is still consulted for the **source machine's** egress
-/// (scaled to model `J` parallel upstream feeds) on backends with a
-/// network model — callers constructing a simulator with a custom
-/// [`NetworkConfig`] should set `cfg.network` to match, as [`run`]
-/// does. Backends without a network model ignore it.
+/// `b.data_plane.network` is still consulted for the **source
+/// machine's** egress (scaled to model `J` parallel upstream feeds) on
+/// backends with a network model — callers constructing a simulator with
+/// a custom [`NetworkConfig`](aoj_simnet::NetworkConfig) should set it to
+/// match, as [`run`] does. Backends without a network model ignore it.
 pub fn run_on<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
+    b: &SessionBuilder,
 ) -> RunReport {
-    let b = offline_builder(arrivals, predicate, workload_name, cfg);
+    let b = offline_builder(arrivals, b);
     let queue = IngestQueue::preloaded(arrivals);
-    let hub = MatchHub::new(0);
-    let pushed = queue.pushed();
-    match cfg.kind {
-        OperatorKind::Shj => {
-            let wiring = setup_shj(backend, &b, queue, hub, None);
-            let end = backend.run();
-            collect_shj(backend, &b, &wiring, pushed, end)
-        }
-        _ => {
-            let wiring = setup_grid(backend, &b, Arc::clone(&queue), hub, None);
-            let end = backend.run();
-            let prefix = queue.prefix();
-            collect_grid(backend, &b, &wiring, pushed, end, &prefix)
-        }
-    }
+    let wiring = build_topology(backend, &b, &queue, &MatchHub::new(0), None, None);
+    let end = backend.run();
+    collect(backend, &b, &wiring, queue.pushed(), end, &queue.prefix())
 }
 
 /// Total bytes per relation in an arrival sequence.
@@ -365,14 +160,6 @@ pub fn stream_bytes(arrivals: &Arrivals) -> (u64, u64) {
         }
     }
     (r, s)
-}
-
-fn sample_every(cfg: &RunConfig, total: usize) -> u64 {
-    if cfg.sample_every > 0 {
-        cfg.sample_every
-    } else {
-        (total as u64 / 200).max(1)
-    }
 }
 
 /// The post-run progress timeline, or empty on backends whose mid-run
@@ -397,19 +184,19 @@ fn progress_samples<B: ExecBackend<OpMsg>>(backend: &B) -> Vec<ProgressSample> {
 
 /// Build `total + 1` machine slots: one per (possibly dormant) joiner
 /// pair, plus the source machine whose egress models `J` parallel
-/// upstream feeds. Only the first `eager` joiner machines are provisioned
-/// up front; the rest are deferred slots whose execution resources —
+/// upstream feeds. Only the slots `provisioned` accepts get execution
+/// resources up front; the rest are deferred slots whose resources —
 /// worker threads on the threaded backend — are acquired at expansion
 /// trigger time (trigger-time provisioning).
 fn add_machines<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
     total: usize,
-    eager: usize,
-) -> Vec<aoj_simnet::MachineId> {
+    provisioned: impl Fn(usize) -> bool,
+) -> Vec<MachineId> {
     let mut machines: Vec<_> = (0..total)
         .map(|i| {
-            if i < eager {
+            if provisioned(i) {
                 backend.add_machine()
             } else {
                 backend.add_deferred_machine()
@@ -456,157 +243,74 @@ pub(crate) struct ShjWiring {
     pub source_id: TaskId,
 }
 
-/// Setup phase: assemble a grid operator (Dynamic/StaticMid/StaticOpt)
-/// on `backend`, wired to drain `input` and emit matches into `sink`.
-/// Schedules the source's bootstrap tick; the backend has not run yet.
-pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
+/// The task/machine layout of either operator family.
+pub(crate) enum Wiring {
+    Grid(GridWiring),
+    Shj(ShjWiring),
+}
+
+impl Wiring {
+    pub(crate) fn source_id(&self) -> TaskId {
+        match self {
+            Wiring::Grid(w) => w.source_id,
+            Wiring::Shj(w) => w.source_id,
+        }
+    }
+
+    pub(crate) fn machine_slots(&self) -> usize {
+        match self {
+            Wiring::Grid(w) => w.total,
+            Wiring::Shj(w) => w.j,
+        }
+    }
+
+    pub(crate) fn skew_board(&self) -> Option<&Arc<SkewBoard>> {
+        match self {
+            Wiring::Grid(w) => Some(&w.skew_board),
+            Wiring::Shj(_) => None,
+        }
+    }
+}
+
+/// Setup phase: assemble `b`'s operator on `backend`, restoring a grid
+/// operator from `restore_from` or, when there is none, from its
+/// [`genesis_checkpoint`].
+pub(crate) fn build_topology<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
-    input: Arc<IngestQueue>,
-    sink: Arc<MatchHub>,
+    input: &Arc<IngestQueue>,
+    sink: &Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
-) -> GridWiring {
-    assert!(
-        b.j.is_power_of_two(),
-        "grid operators need a power-of-two J"
-    );
-    assert!(
-        b.elasticity.elastic.is_none() || b.kind == OperatorKind::Dynamic,
-        "elasticity requires the Dynamic operator (the controller owns the trigger)"
-    );
-    assert!(
-        b.elasticity.elastic.is_none() || !b.elasticity.blocking_migrations,
-        "elasticity requires non-blocking migrations: the blocking ablation's \
-         MigrationComplete broadcast cannot reach machines that a contraction \
-         deactivates mid-flight"
-    );
-    let initial = match b.kind {
-        OperatorKind::Dynamic | OperatorKind::StaticMid => Mapping::square(b.j),
-        OperatorKind::StaticOpt => b.oracle_mapping.expect(
-            "StaticOpt needs an oracle mapping (with_oracle_mapping): an online session \
-             cannot know stream sizes ahead of time",
-        ),
-        OperatorKind::Shj => unreachable!(),
+    restore_from: Option<&Checkpoint>,
+) -> Wiring {
+    let (input, sink) = (Arc::clone(input), Arc::clone(sink));
+    if restore_from.is_none() && b.kind == OperatorKind::Shj {
+        return Wiring::Shj(setup_shj(backend, b, input, sink, idle_poll));
+    }
+    let genesis;
+    let ckpt = match restore_from {
+        Some(ckpt) => ckpt,
+        None => {
+            genesis = genesis_checkpoint(b);
+            &genesis
+        }
     };
-    let adaptive = b.kind == OperatorKind::Dynamic;
-    let sample_spacing = b.sample_spacing();
-    // Windowed eviction produces the genuine state drain the 4→1
-    // contraction trigger watches for, so a window auto-arms
-    // drain-driven mode: the hold-off gate stops being load-bearing.
-    let elastic_cfg = b.elasticity.elastic.map(|e| {
-        if b.lifecycle.window.is_some() {
-            e.with_drain_driven(true)
-        } else {
-            e
-        }
-    });
+    Wiring::Grid(restore_grid(backend, b, ckpt, input, sink, idle_poll))
+}
 
-    backend.metrics_mut().sample_spacing = sample_spacing;
-    let j = b.j as usize;
-    // Elastic runs register the bounded machine-slot space
-    // (`J₀ · 4^max_expansions` ids — cheap task objects and mailbox
-    // stubs) but **provision** only the initial `j` machines: worker
-    // shards for the rest are acquired at expansion trigger time and
-    // handed back at contraction (trigger-time provisioning).
-    let total = b
-        .elasticity
-        .elastic
-        .map(|e| provisioned_joiners(b.j, e.max_expansions) as usize)
-        .unwrap_or(j);
-    let machines = add_machines(backend, b, total, j);
-    let reshuffler_ids: Vec<TaskId> = (0..total).map(TaskId).collect();
-    let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
-    let source_id = TaskId(2 * total);
-    let skew_board = SkewBoard::new(total);
-    let skew_salt = skew_salt(b.seed);
-
-    for i in 0..total {
-        let controller = if i == 0 {
-            let mut cs = ControllerState::new(
-                b.j,
-                initial,
-                b.elasticity.decision,
-                adaptive,
-                sample_spacing,
-            )
-            .with_elastic(elastic_cfg);
-            cs.decider.set_skew_gate(b.skew.decision_gate_ratio);
-            Some(cs)
-        } else {
-            None
-        };
-        let task = ReshufflerTask {
-            index: i,
-            epoch: 0,
-            assign: GridAssignment::initial(initial),
-            joiner_tasks: joiner_ids.clone(),
-            reshuffler_tasks: reshuffler_ids.clone(),
-            tickets: TicketGen::new(b.seed ^ (i as u64).wrapping_mul(0x9E37_79B9)),
-            cost: b.data_plane.cost,
-            controller,
-            source: source_id,
-            blocking: b.elasticity.blocking_migrations,
-            stalled: false,
-            stall_buffer: Vec::new(),
-            routed: 0,
-            // Slots cover the full machine-slot space so elastic
-            // expansions route into existing buffers.
-            batch: DataCoalescer::new(b.batch_config(), total),
-            deactivated: false,
-            // Machines 0..j are live; expansions allocate dormant-pool
-            // slots first, fresh slots after.
-            layout: aoj_core::elastic::ElasticLayout::new(j),
-            skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
-        };
-        let id = backend.add_task(machines[i], Box::new(task));
-        debug_assert_eq!(id, reshuffler_ids[i]);
-    }
-    for i in 0..total {
-        let mut task = JoinerTask::new(
-            i,
-            b.predicate.clone(),
-            total,
-            joiner_ids.clone(),
-            reshuffler_ids[0],
-            source_id,
-            machines[i],
-            SpillGauge::new(b.data_plane.ram_budget, b.data_plane.spill_penalty),
-            b.data_plane.cost,
-        );
-        if i >= j {
-            task = task.dormant(b.predicate.clone(), total);
-        }
-        // Every slot gets its own tracker (dormant children included):
-        // a tracker only ticks on stable batches, so an unborn joiner's
-        // window is inert until its expansion activates it.
-        task.window = b.lifecycle.window.map(WindowTracker::new);
-        task.collect_matches = b.backend.collect_matches;
-        task.match_sink = Some(Arc::clone(&sink));
-        let id = backend.add_task(machines[i], Box::new(task));
-        debug_assert_eq!(id, joiner_ids[i]);
-    }
-    let mut src = SourceTask::new(
-        input,
-        reshuffler_ids.clone(),
-        b.source.pacing,
-        b.source.window_copies,
-        b.data_plane.batch_tuples,
-    );
-    if let Some(poll) = idle_poll {
-        src = src.with_idle_poll(poll);
-    }
-    src.active.truncate(j);
-    let id = backend.add_task(machines[total], Box::new(src));
-    debug_assert_eq!(id, source_id);
-    backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
-
-    GridWiring {
-        total,
-        reshuffler_ids,
-        joiner_ids,
-        source_id,
-        initial,
-        skew_board,
+/// Drain/collect phase: verify the stream drained and extract the
+/// [`RunReport`] from the quiesced backend.
+pub(crate) fn collect<B: ExecBackend<OpMsg>>(
+    backend: &B,
+    b: &SessionBuilder,
+    wiring: &Wiring,
+    pushed: u64,
+    end: SimTime,
+    prefix: &[(u64, u64)],
+) -> RunReport {
+    match wiring {
+        Wiring::Grid(w) => collect_grid(backend, b, w, pushed, end, prefix),
+        Wiring::Shj(w) => collect_shj(backend, b, w, pushed, end),
     }
 }
 
@@ -631,9 +335,8 @@ fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed:
     );
 }
 
-/// Drain/collect phase for grid operators: verify the stream drained and
-/// extract the [`RunReport`] from the quiesced backend.
-pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
+/// Drain/collect phase for grid operators.
+fn collect_grid<B: ExecBackend<OpMsg>>(
     backend: &B,
     b: &SessionBuilder,
     wiring: &GridWiring,
@@ -840,10 +543,51 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
     }
 }
 
-/// Setup phase for a **restored** grid operator: rebuild the topology a
-/// [`Checkpoint`] describes — same machine-slot space, the checkpoint's
-/// grid assignment and elastic layout, every active joiner re-seeded
-/// with its live tuples — on a fresh backend of either flavour.
+/// The snapshot every fresh grid operator starts from: epoch 0, the
+/// initial mapping on machine slots `0..J`, and one empty joiner per
+/// live slot. A restored joiner holds its state as one sealed sub-window
+/// segment; a genesis joiner holds zero segments, so assembling a fresh
+/// operator is restoring this snapshot.
+pub(crate) fn genesis_checkpoint(b: &SessionBuilder) -> Checkpoint {
+    let initial = match b.kind {
+        OperatorKind::Dynamic | OperatorKind::StaticMid => Mapping::square(b.j),
+        OperatorKind::StaticOpt => b.oracle_mapping.expect(
+            "StaticOpt needs an oracle mapping (with_oracle_mapping): an online session \
+             cannot know stream sizes ahead of time",
+        ),
+        OperatorKind::Shj => unreachable!("SHJ is not a grid operator"),
+    };
+    Checkpoint {
+        j: b.j,
+        kind: b.kind.label().to_string(),
+        seed: b.seed,
+        epoch: 0,
+        assign: GridAssignment::initial(initial),
+        layout: ElasticLayout::new(b.j as usize),
+        elastic: b.elasticity.elastic.map(|_| (0, 0)),
+        decider: DeciderSnapshot::default(),
+        source_cursor: 0,
+        window_copies: b.source.window_copies,
+        joiners: (0..b.j as usize)
+            .map(|machine| JoinerCheckpoint {
+                machine,
+                evicted_tuples: 0,
+                evicted_bytes: 0,
+                latest_seq: 0,
+                latest_tick: 0,
+                tuples: Vec::new(),
+            })
+            .collect(),
+    }
+}
+
+/// Setup phase for a grid operator (Dynamic/StaticMid/StaticOpt): build
+/// the topology a [`Checkpoint`] describes — the machine-slot space, the
+/// checkpoint's grid assignment and elastic layout, every active joiner
+/// seeded with its live tuples — wired to drain `input` and emit matches
+/// into `sink`. A fresh operator restores its
+/// [`genesis_checkpoint`]. Schedules the source's bootstrap tick; the
+/// backend has not run yet.
 pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
@@ -856,6 +600,16 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
         b.j.is_power_of_two(),
         "grid operators need a power-of-two J"
     );
+    assert!(
+        b.elasticity.elastic.is_none() || b.kind == OperatorKind::Dynamic,
+        "elasticity requires the Dynamic operator (the controller owns the trigger)"
+    );
+    assert!(
+        b.elasticity.elastic.is_none() || !b.elasticity.blocking_migrations,
+        "elasticity requires non-blocking migrations: the blocking ablation's \
+         MigrationComplete broadcast cannot reach machines that a contraction \
+         deactivates mid-flight"
+    );
     assert_eq!(
         b.elasticity.elastic.is_some(),
         ckpt.elastic.is_some(),
@@ -864,6 +618,9 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
     );
     let adaptive = b.kind == OperatorKind::Dynamic;
     let sample_spacing = b.sample_spacing();
+    // Windowed eviction produces the genuine state drain the 4→1
+    // contraction trigger watches for, so a window auto-arms
+    // drain-driven mode: the hold-off gate stops being load-bearing.
     let elastic_cfg = b.elasticity.elastic.map(|e| {
         if b.lifecycle.window.is_some() {
             e.with_drain_driven(true)
@@ -872,33 +629,26 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
         }
     });
     backend.metrics_mut().sample_spacing = sample_spacing;
-    let j = b.j as usize;
+    // Elastic runs register the bounded machine-slot space
+    // (`J₀ · 4^max_expansions` ids — cheap task objects and mailbox
+    // stubs) but **provision** only the active machines: worker shards
+    // for the rest are acquired at expansion trigger time and handed
+    // back at contraction (trigger-time provisioning).
     let total = b
         .elasticity
         .elastic
         .map(|e| provisioned_joiners(b.j, e.max_expansions) as usize)
-        .unwrap_or(j);
+        .unwrap_or(b.j as usize);
     let active: BTreeSet<usize> = ckpt.assign.machines().collect();
     assert!(
         active.iter().all(|&m| m < total),
         "checkpoint references machine slots outside the provisioned space"
     );
-    // Unlike a fresh start, the provisioned set need not be a slot
-    // prefix: a contraction may have retired low slots while a later
-    // expansion's children stayed live. Provision exactly the active
-    // machines; everything else is a deferred slot.
-    let mut machines: Vec<MachineId> = (0..total)
-        .map(|i| {
-            if active.contains(&i) {
-                backend.add_machine()
-            } else {
-                backend.add_deferred_machine()
-            }
-        })
-        .collect();
-    let mut src_net = b.data_plane.network;
-    src_net.bytes_per_us = src_net.bytes_per_us.saturating_mul(b.j as u64);
-    machines.push(backend.add_machine_with_network(src_net));
+    // The provisioned set need not be a slot prefix: a contraction may
+    // have retired low slots while a later expansion's children stayed
+    // live. Provision exactly the active machines; everything else is a
+    // deferred slot.
+    let machines = add_machines(backend, b, total, |i| active.contains(&i));
     let reshuffler_ids: Vec<TaskId> = (0..total).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
     let source_id = TaskId(2 * total);
@@ -943,7 +693,11 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
             stalled: false,
             stall_buffer: Vec::new(),
             routed: 0,
+            // Slots cover the full machine-slot space so elastic
+            // expansions route into existing buffers.
             batch: DataCoalescer::new(b.batch_config(), total),
+            // Machines outside the active set are dormant until an
+            // expansion activates them.
             deactivated: !active.contains(&i),
             layout: ckpt.layout.clone(),
             skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
@@ -965,9 +719,7 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
         );
         if let Some(jc) = ckpt.joiners.iter().find(|jc| jc.machine == i) {
             assert!(active.contains(&i), "checkpointed joiner on inactive slot");
-            let p = b.predicate.clone();
-            task.epoch =
-                EpochJoiner::restored(&move || index_for(&p), total, ckpt.epoch, &jc.tuples);
+            task.epoch.restore(ckpt.epoch, &jc.tuples);
             task.evicted_tuples = jc.evicted_tuples;
             task.evicted_bytes = jc.evicted_bytes;
             task.window = b.lifecycle.window.map(|spec| {
@@ -1002,6 +754,8 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
                     .set_window_tuples(machines[i], task.epoch.stored_tuples() as u64);
             }
         } else {
+            // A tracker only ticks on stable batches, so an unborn
+            // joiner's window is inert until its expansion activates it.
             task = task.dormant(b.predicate.clone(), total);
             task.window = b.lifecycle.window.map(WindowTracker::new);
         }
@@ -1042,7 +796,7 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
 }
 
 /// Setup phase for the SHJ baseline.
-pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
+fn setup_shj<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
@@ -1056,7 +810,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     );
     backend.metrics_mut().sample_spacing = b.sample_spacing();
     let j = b.j as usize;
-    let machines = add_machines(backend, b, j, j);
+    let machines = add_machines(backend, b, j, |_| true);
     let reshuffler_ids: Vec<TaskId> = (0..j).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (j..2 * j).map(TaskId).collect();
 
@@ -1105,7 +859,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
 }
 
 /// Drain/collect phase for the SHJ baseline.
-pub(crate) fn collect_shj<B: ExecBackend<OpMsg>>(
+fn collect_shj<B: ExecBackend<OpMsg>>(
     backend: &B,
     b: &SessionBuilder,
     wiring: &ShjWiring,

@@ -45,7 +45,8 @@ use aoj_simnet::{Ctx, MachineId, Metrics, TaskId};
 use crate::joiner_task::MIG_BATCH_TUPLES;
 use crate::messages::OpMsg;
 
-/// Elasticity knobs for a run (`RunConfig::elastic`).
+/// Elasticity knobs for a session
+/// ([`ElasticitySection::elastic`](crate::session::ElasticitySection::elastic)).
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
     /// Per-joiner capacity target `M` in stored bytes. The controller

@@ -276,7 +276,7 @@ impl JoinerTask {
 
     /// In-place [`dormant`](JoinerTask::dormant), for callers holding the
     /// task behind a trait object: a reincarnated worker **process**
-    /// rebuilds the topology (where `setup_grid` makes slot `i < j`
+    /// rebuilds the topology (where a fresh start makes slot `i < j`
     /// active) and must then demote its own freshly built joiner back to
     /// dormant, because the live cluster's controller will re-activate it
     /// through the usual `Activate`/expansion protocol.

@@ -40,17 +40,16 @@ pub mod source;
 pub mod supervise;
 
 pub use batch::BatchConfig;
-pub use driver::{run, run_on, BackendChoice, OperatorKind, RunConfig};
+pub use driver::{run, run_on, BackendChoice, OperatorKind};
 pub use elastic_runtime::ElasticConfig;
 pub use grouped::{run_grouped, GroupedReport};
 pub use messages::{Match, OpMsg};
 pub use report::{human_bytes, ContractTransfer, ExpandTransfer, RunReport};
 pub use report::{MachineStats, SkewSummary};
 pub use session::{
-    assemble_topology, assemble_topology_restored, register_tcp_backend, FaultSection,
-    IngestHandle, IngestQueue, JoinSession, KeyFilter, LifecycleSection, MatchHub,
-    MatchSubscription, NetBackend, NetBackendFactory, PushError, SessionBuilder, SessionHandle,
-    SessionStats, SessionTopology,
+    assemble_topology, register_tcp_backend, FaultSection, IngestHandle, IngestQueue, JoinSession,
+    KeyFilter, LifecycleSection, MatchHub, MatchSubscription, NetBackend, NetBackendFactory,
+    PushError, SessionBuilder, SessionHandle, SessionStats, SessionTopology,
 };
 pub use skew::{SkewBoard, SkewPolicy, SkewState};
 pub use source::SourcePacing;

@@ -42,11 +42,10 @@
 //!   pushes deterministically — `run()` reproduces its pre-session
 //!   timelines bit for bit.
 //!
-//! [`SessionBuilder`] is the typed configuration: the former 17-field
-//! flat `RunConfig` regrouped into [`SourceSection`],
-//! [`DataPlaneSection`], [`ElasticitySection`] and [`BackendSection`].
-//! `RunConfig` remains as a working legacy alias (every field maps 1:1;
-//! see [`SessionBuilder::from_run_config`]).
+//! [`SessionBuilder`] is the one configuration type, grouped by concern
+//! into [`SourceSection`], [`DataPlaneSection`], [`ElasticitySection`],
+//! [`LifecycleSection`], [`BackendSection`] and [`FaultSection`]. The
+//! offline [`run`](crate::driver::run) takes the same builder.
 //!
 //! [`RunReport`]: crate::report::RunReport
 
@@ -73,8 +72,7 @@ use aoj_simnet::{
 
 use crate::batch::BatchConfig;
 use crate::driver::{
-    build_checkpoint, collect_grid, collect_shj, restore_grid, setup_grid, setup_shj,
-    BackendChoice, GridWiring, OperatorKind, RunConfig, ShjWiring,
+    build_checkpoint, build_topology, collect, BackendChoice, OperatorKind, Wiring,
 };
 use crate::elastic_runtime::ElasticConfig;
 use crate::messages::{Match, OpMsg};
@@ -412,7 +410,7 @@ impl HubState {
 /// [`MatchSubscription`]s consume them, each with its own cursor into
 /// the shared buffer, its own lag bound, and its own [`KeyFilter`].
 /// While no consumer is attached the hub only counts (so sessions —
-/// including the legacy `run()` wrapper — pay one atomic add per match,
+/// including the offline `run()` wrapper — pay one atomic add per match,
 /// nothing more), and a match no attached consumer's filter passes is
 /// never buffered at all — on the joiner's thread, before any copy.
 ///
@@ -888,7 +886,7 @@ pub struct BackendSection {
     /// Which substrate executes the session.
     pub choice: BackendChoice,
     /// Progress sample spacing in sequence numbers (0 = a live default;
-    /// the legacy `run()` derives it from the input size).
+    /// the offline `run()` derives it from the input size).
     pub sample_every: u64,
     /// Record every emitted pair in [`RunReport::match_pairs`]
     /// (equivalence testing; memory proportional to the output).
@@ -901,8 +899,8 @@ pub struct BackendSection {
     /// Keep per-sequence stream statistics for the offline `ILF/ILF*`
     /// competitive trace. Costs 16 bytes per pushed tuple for the whole
     /// session lifetime, so live sessions default to **off** (no
-    /// unbounded growth); the legacy [`RunConfig`] conversion turns it
-    /// on, preserving the offline harness's reports.
+    /// unbounded growth); the offline [`run`](crate::driver::run) turns
+    /// it on.
     pub track_competitive: bool,
 }
 
@@ -937,8 +935,9 @@ const LIVE_SAMPLE_EVERY: u64 = 1024;
 /// Default threaded-backend subscription buffer, in matches.
 const DEFAULT_MATCH_BUFFER: usize = 1024;
 
-/// Typed session configuration: what [`RunConfig`] flattened into 17
-/// fields, regrouped by concern. Open one with [`JoinSession::open`].
+/// Typed session configuration, grouped by concern. Open a session with
+/// [`JoinSession::open`], or run a whole arrival sequence offline with
+/// [`run`](crate::driver::run).
 ///
 /// ```no_run
 /// use aoj_core::predicate::Predicate;
@@ -964,7 +963,7 @@ pub struct SessionBuilder {
     pub workload: String,
     /// Fixed mapping for [`OperatorKind::StaticOpt`] sessions. An online
     /// session cannot know stream sizes ahead of time, so the oracle
-    /// mapping must be supplied explicitly (the legacy `run()` computes
+    /// mapping must be supplied explicitly (the offline `run()` computes
     /// it from the pre-materialized arrivals).
     pub oracle_mapping: Option<Mapping>,
     /// Source, flow control and ingest handoff.
@@ -984,8 +983,8 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Defaults mirroring [`RunConfig::new`]: simulator backend,
-    /// saturating source, in-memory, ε = 1, no warm-up gate.
+    /// Sensible defaults for `j` joiners: simulator backend, saturating
+    /// source, in-memory, ε = 1, no warm-up gate.
     pub fn new(j: u32, kind: OperatorKind) -> SessionBuilder {
         SessionBuilder {
             j,
@@ -1024,30 +1023,6 @@ impl SessionBuilder {
             skew: SkewPolicy::default(),
             fault: FaultSection::default(),
         }
-    }
-
-    /// The legacy flat configuration, field for field.
-    pub fn from_run_config(cfg: &RunConfig) -> SessionBuilder {
-        let mut b = SessionBuilder::new(cfg.j, cfg.kind);
-        b.seed = cfg.seed;
-        b.source.pacing = cfg.pacing;
-        b.source.window_copies = cfg.window_copies;
-        b.data_plane.batch_tuples = cfg.batch_tuples;
-        b.data_plane.batch_max_delay_us = cfg.batch_max_delay_us;
-        b.data_plane.ram_budget = cfg.ram_budget;
-        b.data_plane.spill_penalty = cfg.spill_penalty;
-        b.data_plane.cost = cfg.cost;
-        b.data_plane.network = cfg.network;
-        b.elasticity.decision = cfg.decision;
-        b.elasticity.elastic = cfg.elastic;
-        b.elasticity.blocking_migrations = cfg.blocking_migrations;
-        b.backend.choice = cfg.backend;
-        b.backend.sample_every = cfg.sample_every;
-        b.backend.collect_matches = cfg.collect_matches;
-        // The offline harness reports the competitive trace; it holds
-        // the whole stream in memory anyway.
-        b.backend.track_competitive = true;
-        b
     }
 
     /// Builder: the join predicate.
@@ -1277,52 +1252,6 @@ impl SessionStats {
     pub fn total_window_tuples(&self) -> u64 {
         self.machines.iter().map(|m| m.window_tuples).sum()
     }
-
-    /// Stored bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].stored_bytes`")]
-    pub fn stored_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.stored_bytes).collect()
-    }
-
-    /// Evicted bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].evicted_bytes`")]
-    pub fn evicted_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.evicted_bytes).collect()
-    }
-
-    /// Window occupancy per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].window_tuples`")]
-    pub fn window_tuples_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.window_tuples).collect()
-    }
-}
-
-enum Wiring {
-    Grid(GridWiring),
-    Shj(ShjWiring),
-}
-
-impl Wiring {
-    fn source_id(&self) -> TaskId {
-        match self {
-            Wiring::Grid(w) => w.source_id,
-            Wiring::Shj(w) => w.source_id,
-        }
-    }
-
-    fn machine_slots(&self) -> usize {
-        match self {
-            Wiring::Grid(w) => w.total,
-            Wiring::Shj(w) => w.j,
-        }
-    }
-
-    fn skew_board(&self) -> Option<&Arc<SkewBoard>> {
-        match self {
-            Wiring::Grid(w) => Some(&w.skew_board),
-            Wiring::Shj(_) => None,
-        }
-    }
 }
 
 /// An execution backend provided by another crate, launchable by the
@@ -1450,7 +1379,10 @@ impl JoinSession {
     ///
     /// `builder` must carry the same configuration the checkpointed
     /// session ran with (config is code, not data): the fingerprint
-    /// fields `j`, `kind` and `seed` are validated against the snapshot.
+    /// fields `j`, `kind` and `seed` are validated against the snapshot,
+    /// and the grid assembly applies the same configuration guards as
+    /// [`open`](JoinSession::open) (it panics on the same invalid
+    /// combinations, e.g. elasticity with blocking migrations).
     /// Works on either backend — a simulator checkpoint restores onto the
     /// threaded runtime and vice versa.
     pub fn restore(builder: SessionBuilder, path: impl AsRef<Path>) -> io::Result<SessionHandle> {
@@ -1675,25 +1607,6 @@ fn launch(
     }
 }
 
-fn build_topology<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    builder: &SessionBuilder,
-    queue: &Arc<IngestQueue>,
-    hub: &Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-    restore_from: Option<&Checkpoint>,
-) -> Wiring {
-    let input = Arc::clone(queue);
-    let sink = Arc::clone(hub);
-    match restore_from {
-        Some(ckpt) => Wiring::Grid(restore_grid(backend, builder, ckpt, input, sink, idle_poll)),
-        None => match builder.kind {
-            OperatorKind::Shj => Wiring::Shj(setup_shj(backend, builder, input, sink, idle_poll)),
-            _ => Wiring::Grid(setup_grid(backend, builder, input, sink, idle_poll)),
-        },
-    }
-}
-
 /// An assembled operator topology, opaque except for what an
 /// out-of-process backend needs to drive it.
 pub struct SessionTopology {
@@ -1723,36 +1636,23 @@ impl SessionTopology {
 /// Assemble `builder`'s operator topology on any backend — the hook a
 /// worker **process** uses to rebuild the coordinator's exact task
 /// layout on its own local backend. Registration order is a pure
-/// function of the builder, so identical `TaskId`s fall out on every
-/// process that runs this over an equal builder.
+/// function of the builder and the snapshot, so identical `TaskId`s
+/// fall out on every process that runs this over equal inputs.
+///
+/// `restore` is the checkpoint the session restores from, if any. Every
+/// process must restore from the *same* snapshot the coordinator laid
+/// its receptacle topology out from: the checkpoint's elastic layout
+/// decides which machines are provisioned and which deferred.
 pub fn assemble_topology<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     builder: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
+    restore: Option<&Checkpoint>,
 ) -> SessionTopology {
     SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, idle_poll, None),
-    }
-}
-
-/// Like [`assemble_topology`], but restoring from a [`Checkpoint`] — the
-/// hook a worker process uses when its launch plan carries a snapshot.
-/// Every process must restore from the *same* snapshot the coordinator
-/// laid its receptacle topology out from: the checkpoint's elastic
-/// layout decides which machines are provisioned and which deferred, so
-/// task registration order (and therefore `TaskId`s) depends on it.
-pub fn assemble_topology_restored<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    builder: &SessionBuilder,
-    ckpt: &Checkpoint,
-    input: Arc<IngestQueue>,
-    sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-) -> SessionTopology {
-    SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, idle_poll, Some(ckpt)),
+        wiring: build_topology(backend, builder, &input, &sink, idle_poll, restore),
     }
 }
 
@@ -2314,20 +2214,6 @@ fn pump_sim(sim: &mut Sim<OpMsg>, source_id: TaskId, queue: &IngestQueue) -> Sim
     sim.pump()
 }
 
-fn collect<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    builder: &SessionBuilder,
-    wiring: &Wiring,
-    pushed: u64,
-    end: SimTime,
-    prefix: &[(u64, u64)],
-) -> RunReport {
-    match wiring {
-        Wiring::Grid(w) => collect_grid(backend, builder, w, pushed, end, prefix),
-        Wiring::Shj(w) => collect_shj(backend, builder, w, pushed, end),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2473,22 +2359,5 @@ mod tests {
         assert_eq!(hub.ship_spec(), (true, vec![KeyFilter::range(0, 9)]));
         hub.detach_slot(a);
         assert_eq!(hub.ship_spec(), (false, Vec::new()));
-    }
-
-    #[test]
-    fn builder_mirrors_run_config_defaults() {
-        let cfg = RunConfig::new(8, OperatorKind::Dynamic);
-        let b = SessionBuilder::from_run_config(&cfg);
-        assert_eq!(b.j, cfg.j);
-        assert_eq!(b.seed, cfg.seed);
-        assert_eq!(b.source.window_copies, cfg.window_copies);
-        assert_eq!(b.data_plane.batch_tuples, cfg.batch_tuples);
-        assert_eq!(b.data_plane.ram_budget, cfg.ram_budget);
-        assert_eq!(b.backend.sample_every, cfg.sample_every);
-        assert!(b.elasticity.elastic.is_none());
-        // And the fresh-builder defaults match RunConfig::new's.
-        let fresh = SessionBuilder::new(8, OperatorKind::Dynamic);
-        assert_eq!(fresh.source.window_copies, 64 * 8);
-        assert_eq!(fresh.data_plane.spill_penalty, 20);
     }
 }

@@ -21,9 +21,7 @@ use aoj_core::lifecycle::WindowSpec;
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{
-    run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunConfig, SessionBuilder,
-};
+use aoj_operators::{run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, SessionBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -358,15 +356,15 @@ fn eviction_off_sessions_reproduce_the_golden_timeline() {
         s_items: (0..3_000).map(|_| item(300)).collect(),
     };
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let cfg = RunConfig::new(4, OperatorKind::Dynamic).with_batch_tuples(1);
+    let cfg = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_batch_tuples(1);
     assert!(
-        SessionBuilder::from_run_config(&cfg)
-            .lifecycle
-            .window
-            .is_none(),
-        "the legacy config must not grow a window implicitly"
+        cfg.lifecycle.window.is_none(),
+        "a builder must not grow a window implicitly"
     );
-    let r = run(&arrivals, &w.predicate, w.name, &cfg);
+    let r = run(&arrivals, &cfg);
     assert_eq!(r.exec_time.as_micros(), 7188, "virtual end time drifted");
     assert_eq!(r.network_messages, 10364, "message count drifted");
     assert_eq!(r.network_bytes, 568_860, "wire bytes drifted");
@@ -517,6 +515,28 @@ fn restore_validates_fingerprint_and_replay_cursor() {
     let post = restored.close();
     assert_eq!(post.input_tuples, arrivals.len() as u64);
     std::fs::remove_file(&path).ok();
+}
+
+/// Restore applies the same configuration guards as `open`: an elastic
+/// session needs non-blocking migrations. The blocking flag is not part
+/// of the checkpoint fingerprint, so only the shared assembly path can
+/// refuse it.
+#[test]
+#[should_panic(expected = "elasticity requires non-blocking migrations")]
+fn restore_rejects_blocking_migrations_on_an_elastic_session() {
+    let seed = 0x11FE_000B;
+    let w = workload(200, 200, 50, seed);
+    let arrivals = interleave(&w, seed);
+    let path = ckpt_path("blocking-elastic.ckpt");
+    let builder = SessionBuilder::new(2, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_seed(seed)
+        .with_elastic(ElasticConfig::new(1 << 30, 1));
+    let mut session = JoinSession::open(builder.clone());
+    session.push_batch(arrivals.iter().copied()).unwrap();
+    session.checkpoint(&path).unwrap();
+
+    let _ = JoinSession::restore(builder.with_blocking_migrations(true), &path);
 }
 
 /// A windowed checkpoint restores the window clock too: continuing the

@@ -16,7 +16,8 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::{
-    BackendChoice, ElasticConfig, JoinSession, KeyFilter, OperatorKind, PushError, SessionBuilder,
+    run, BackendChoice, ElasticConfig, JoinSession, KeyFilter, OperatorKind, PushError,
+    SessionBuilder,
 };
 
 // TCP session tests re-exec this binary as the worker process.
@@ -364,15 +365,19 @@ fn open_rejects_a_window_below_the_credit_batching_slack() {
 }
 
 /// Live sessions must not grow memory per pushed tuple: the competitive
-/// prefix trace is opt-in (the legacy `run()` path keeps it, since the
+/// prefix trace is opt-in (the offline `run()` path keeps it, since the
 /// offline harness holds the whole stream anyway).
 #[test]
 fn live_sessions_do_not_track_the_competitive_prefix_by_default() {
     let fresh = SessionBuilder::new(2, OperatorKind::Dynamic);
     assert!(!fresh.backend.track_competitive);
-    let legacy =
-        SessionBuilder::from_run_config(&aoj_operators::RunConfig::new(2, OperatorKind::Dynamic));
-    assert!(legacy.backend.track_competitive);
+    let seed = 0xC0_3E7;
+    let w = workload(100, 900, 100, seed);
+    let offline = run(
+        &interleave(&w, seed),
+        &fresh.with_predicate(w.predicate.clone()),
+    );
+    assert!(!offline.competitive.is_empty());
 }
 
 /// Pushing after close must fail cleanly, and an unsubscribed session
