@@ -359,7 +359,7 @@ pub struct JoinerCheckpoint {
     pub tuples: Vec<Tuple>,
 }
 
-/// A complete, versioned snapshot of a quiesced grid session.
+/// A complete, versioned snapshot of a quiesced session.
 ///
 /// Captured at a migration checkpoint with no reconfiguration in
 /// flight: every joiner is stable, the ingest queue is drained, and all
@@ -379,7 +379,8 @@ pub struct Checkpoint {
     pub seed: u64,
     /// The cluster-wide epoch at the quiesced checkpoint.
     pub epoch: u32,
-    /// Grid assignment (mapping + machine↔cell bijection).
+    /// Grid assignment (mapping + machine↔cell bijection). SHJ routes by
+    /// key, so its snapshots carry the one-cell placeholder `(1, 1)`.
     pub assign: GridAssignment,
     /// Elastic machine-slot bookkeeping (dormant pool, fresh frontier).
     pub layout: ElasticLayout,
@@ -395,7 +396,8 @@ pub struct Checkpoint {
     /// any elastic grow/shrink rescaling.
     pub window_copies: u64,
     /// Per-joiner state for every **active** machine, ascending by
-    /// machine index.
+    /// machine index. These machines are the active set a restore
+    /// provisions.
     pub joiners: Vec<JoinerCheckpoint>,
 }
 

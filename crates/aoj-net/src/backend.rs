@@ -43,7 +43,6 @@ use aoj_operators::joiner_task::{JoinerTask, LatencyStats};
 use aoj_operators::messages::OpMsg;
 use aoj_operators::report::MatchDigest;
 use aoj_operators::reshuffler::ReshufflerTask;
-use aoj_operators::shj::ShjJoiner;
 use aoj_operators::{FaultSection, KeyFilter, MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_runtime::RuntimeConfig;
@@ -270,25 +269,24 @@ impl NetBackend for TcpBackend {
         self.skew_board = Some(board);
     }
 
-    fn fault_log(&mut self) -> Option<FaultLog> {
-        Some(self.fault_log.clone())
+    fn fault_log(&mut self) -> FaultLog {
+        self.fault_log.clone()
     }
 
-    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
+    fn kill_handle(&mut self) -> Box<dyn Fn(usize) + Send + Sync> {
         let reqs = Arc::clone(&self.kill_requests);
-        Some(Box::new(move |machine| {
+        Box::new(move |machine| {
             reqs.lock().unwrap().push(machine);
-        }))
+        })
     }
 
-    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
+    fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync> {
         let abort = Arc::clone(&self.abort);
-        Some(Box::new(move || abort.store(true, Ordering::SeqCst)))
+        Box::new(move || abort.store(true, Ordering::SeqCst))
     }
 
-    fn install_restore(&mut self, ckpt: &Checkpoint) -> bool {
+    fn install_restore(&mut self, ckpt: &Checkpoint) {
         self.restore = Some(ckpt.clone());
-        true
     }
 }
 
@@ -1144,29 +1142,6 @@ fn install_finals(topo: &mut TopoRecorder, bundle: &FinalsBundle) {
             .expect("controller receptacle has controller state");
         ctrl.events = cf.events.clone();
         ctrl.recorder.samples = cf.samples.clone();
-    }
-    for sf in &bundle.shj {
-        let slot = topo.tasks[sf.task as usize]
-            .1
-            .as_mut()
-            .expect("receptacle task parked");
-        let s = slot
-            .as_any_mut()
-            .downcast_mut::<ShjJoiner>()
-            .expect("shj final targets an shj receptacle");
-        s.matches += sf.matches;
-        s.latency.merge(&LatencyStats::from_parts(
-            sf.latency.sum_us,
-            sf.latency.count,
-            sf.latency.max_us,
-            sf.latency.buckets,
-        ));
-        s.match_log.extend_from_slice(&sf.match_log);
-        s.match_digest.merge(&MatchDigest {
-            count: sf.match_digest.0,
-            sum: sf.match_digest.1,
-            xor: sf.match_digest.2,
-        });
     }
     // Rebuild the shard as a Metrics and fold it into the global sink.
     let mut m = Metrics::default();

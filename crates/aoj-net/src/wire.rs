@@ -39,8 +39,10 @@ use aoj_operators::session::{KeyFilter, SessionBuilder};
 use aoj_simnet::{MsgClass, SimDuration, SimTime, TaskId};
 
 /// Protocol version; bumped on any layout change. Checked in both
-/// directions during the handshake.
-pub const WIRE_VERSION: u8 = 4;
+/// directions during the handshake. Version 5 dropped the SHJ joiner
+/// list from the finals frame: SHJ runs on the grid joiner tasks, so
+/// its finals travel as [`JoinerFinal`]s.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -1757,22 +1759,6 @@ pub struct ControllerFinal {
     pub samples: Vec<ProgressSample>,
 }
 
-/// Final counters of one SHJ joiner task.
-#[derive(Clone, Debug)]
-pub struct ShjFinal {
-    /// The joiner's task id.
-    pub task: u64,
-    /// Total matches emitted.
-    pub matches: u64,
-    /// Latency statistics.
-    pub latency: LatencyParts,
-    /// Emitted pair identities `(R seq, S seq)` (only when
-    /// `collect_matches`).
-    pub match_log: Vec<(u64, u64)>,
-    /// Order-independent `(count, sum, xor)` match-multiset digest.
-    pub match_digest: (u64, u64, u64),
-}
-
 /// One machine row of a worker's private metrics shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineRow {
@@ -1824,8 +1810,6 @@ pub struct FinalsBundle {
     pub joiners: Vec<JoinerFinal>,
     /// Controller final (worker 0 only).
     pub controller: Option<ControllerFinal>,
-    /// SHJ joiner finals (at most one per worker).
-    pub shj: Vec<ShjFinal>,
     /// The worker's metrics shard.
     pub shard: MetricsShard,
 }
@@ -2022,20 +2006,6 @@ impl FinalsBundle {
                 }
             }
         }
-        put_len(&mut out, self.shj.len());
-        for f in &self.shj {
-            put_u64(&mut out, f.task);
-            put_u64(&mut out, f.matches);
-            put_latency(&mut out, &f.latency);
-            put_len(&mut out, f.match_log.len());
-            for &(r, s) in &f.match_log {
-                put_u64(&mut out, r);
-                put_u64(&mut out, s);
-            }
-            put_u64(&mut out, f.match_digest.0);
-            put_u64(&mut out, f.match_digest.1);
-            put_u64(&mut out, f.match_digest.2);
-        }
         put_u64(&mut out, self.shard.events);
         put_u64(&mut out, self.shard.last_event_at_us);
         put_u64(&mut out, self.shard.data_processed);
@@ -2098,26 +2068,6 @@ impl FinalsBundle {
             }
             b => return Err(bad(format!("bad controller tag {b}"))),
         };
-        let nshj = d.len(100)?;
-        let mut shj = Vec::with_capacity(nshj);
-        for _ in 0..nshj {
-            let task = d.u64()?;
-            let matches = d.u64()?;
-            let latency = dec_latency(d)?;
-            let n = d.len(16)?;
-            let mut match_log = Vec::with_capacity(n);
-            for _ in 0..n {
-                match_log.push((d.u64()?, d.u64()?));
-            }
-            let match_digest = (d.u64()?, d.u64()?, d.u64()?);
-            shj.push(ShjFinal {
-                task,
-                matches,
-                latency,
-                match_log,
-                match_digest,
-            });
-        }
         let events = d.u64()?;
         let last_event_at_us = d.u64()?;
         let data_processed = d.u64()?;
@@ -2143,7 +2093,6 @@ impl FinalsBundle {
             gen,
             joiners,
             controller,
-            shj,
             shard: MetricsShard {
                 events,
                 last_event_at_us,

@@ -318,10 +318,7 @@ pub fn worker_main() -> ! {
             evicted: gauges.evicted(m),
             occupancy: gauges.occupancy(m),
             data_processed: gauges.data_processed(),
-            skew_parts: skew_board
-                .as_ref()
-                .map(|b| b.merged_parts())
-                .unwrap_or_default(),
+            skew_parts: skew_board.merged_parts(),
         };
         // An unchanged sample is normally skipped, but never for longer
         // than the heartbeat period: the coordinator's failure detector
@@ -461,7 +458,6 @@ fn harvest_finals(
         gen,
         joiners: Vec::new(),
         controller: None,
-        shj: Vec::new(),
         shard: wire::MetricsShard {
             events: shard.events,
             last_event_at_us: shard.last_event_at.as_micros(),
@@ -520,23 +516,6 @@ fn harvest_finals(
                     samples: ctrl.recorder.samples.clone(),
                 });
             }
-        } else if let Some(s) = task
-            .as_any()
-            .downcast_ref::<aoj_operators::shj::ShjJoiner>()
-        {
-            let (sum_us, count, max_us, buckets) = s.latency.to_parts();
-            bundle.shj.push(wire::ShjFinal {
-                task: id as u64,
-                matches: s.matches,
-                latency: wire::LatencyParts {
-                    count,
-                    sum_us,
-                    max_us,
-                    buckets,
-                },
-                match_log: s.match_log.clone(),
-                match_digest: (s.match_digest.count, s.match_digest.sum, s.match_digest.xor),
-            });
         }
     }
     bundle

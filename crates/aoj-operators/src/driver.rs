@@ -8,9 +8,11 @@
 //! reshuffler task and one joiner task; reshuffler 0 doubles as the
 //! controller; one extra machine hosts the stream source.
 //!
-//! Every grid operator is assembled one way: `restore_grid` builds the
+//! Every operator kind is assembled one way: `restore_grid` builds the
 //! topology a [`Checkpoint`] describes, and a fresh operator restores
-//! its `genesis_checkpoint` (the empty snapshot at epoch 0).
+//! its `genesis_checkpoint` (the empty snapshot at epoch 0). One
+//! `collect` reads every kind's report. SHJ is the same topology with
+//! key-partitioned routing (see [`OperatorKind::Shj`]).
 //!
 //! The offline entry points: [`run`] executes a pre-materialized arrival
 //! sequence as a thin wrapper over [`JoinSession`] — open, push
@@ -26,6 +28,7 @@ use aoj_core::elastic::ElasticLayout;
 use aoj_core::ilf::optimal_mapping;
 use aoj_core::lifecycle::{Checkpoint, JoinerCheckpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
+use aoj_core::predicate::Predicate;
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::stream::Arrivals;
@@ -41,11 +44,8 @@ use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::SkewSummary;
 use crate::report::{ContractTransfer, ExpandTransfer, MachineStats, MatchDigest, RunReport};
-use crate::reshuffler::{
-    ControlEvent, ControllerState, ProgressRecorder, ProgressSample, ReshufflerTask,
-};
+use crate::reshuffler::{ControlEvent, ControllerState, ProgressSample, ReshufflerTask};
 use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
-use crate::shj::{ShjJoiner, ShjReshuffler};
 use crate::skew::{SkewBoard, SkewState};
 use crate::source::SourceTask;
 
@@ -59,7 +59,12 @@ pub enum OperatorKind {
     /// Fixed oracle-optimal mapping (requires knowing stream sizes ahead
     /// of time — "practically unattainable in an online setting").
     StaticOpt,
-    /// Content-sensitive parallel symmetric hash join (equi-joins only).
+    /// Content-sensitive parallel symmetric hash join: the grid's tasks
+    /// with key-partitioned routing — each tuple goes to joiner
+    /// `mix64(key) mod J`, so there is no replication but skewed keys
+    /// pile onto few machines. Equi-joins only; `J` need not be a power
+    /// of two. Its snapshots carry a one-cell placeholder mapping and its
+    /// reports no competitive trace.
     Shj,
 }
 
@@ -213,7 +218,7 @@ fn add_machines<B: ExecBackend<OpMsg>>(
     machines
 }
 
-/// Task/machine layout of an assembled grid operator, handed from the
+/// Task/machine layout of an assembled operator, handed from the
 /// setup phase to the drain/collect phase.
 pub(crate) struct GridWiring {
     /// Registered joiner machine slots (including dormant elastic ones).
@@ -233,47 +238,8 @@ pub(crate) struct GridWiring {
     pub skew_board: Arc<SkewBoard>,
 }
 
-/// Task/machine layout of an assembled SHJ operator.
-pub(crate) struct ShjWiring {
-    /// Number of joiner machines.
-    pub j: usize,
-    /// Joiner task ids by machine index.
-    pub joiner_ids: Vec<TaskId>,
-    /// The source task.
-    pub source_id: TaskId,
-}
-
-/// The task/machine layout of either operator family.
-pub(crate) enum Wiring {
-    Grid(GridWiring),
-    Shj(ShjWiring),
-}
-
-impl Wiring {
-    pub(crate) fn source_id(&self) -> TaskId {
-        match self {
-            Wiring::Grid(w) => w.source_id,
-            Wiring::Shj(w) => w.source_id,
-        }
-    }
-
-    pub(crate) fn machine_slots(&self) -> usize {
-        match self {
-            Wiring::Grid(w) => w.total,
-            Wiring::Shj(w) => w.j,
-        }
-    }
-
-    pub(crate) fn skew_board(&self) -> Option<&Arc<SkewBoard>> {
-        match self {
-            Wiring::Grid(w) => Some(&w.skew_board),
-            Wiring::Shj(_) => None,
-        }
-    }
-}
-
-/// Setup phase: assemble `b`'s operator on `backend`, restoring a grid
-/// operator from `restore_from` or, when there is none, from its
+/// Setup phase: assemble `b`'s operator on `backend`, restoring it from
+/// `restore_from` or, when there is none, from its
 /// [`genesis_checkpoint`].
 pub(crate) fn build_topology<B: ExecBackend<OpMsg>>(
     backend: &mut B,
@@ -282,11 +248,8 @@ pub(crate) fn build_topology<B: ExecBackend<OpMsg>>(
     sink: &Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
     restore_from: Option<&Checkpoint>,
-) -> Wiring {
+) -> GridWiring {
     let (input, sink) = (Arc::clone(input), Arc::clone(sink));
-    if restore_from.is_none() && b.kind == OperatorKind::Shj {
-        return Wiring::Shj(setup_shj(backend, b, input, sink, idle_poll));
-    }
     let genesis;
     let ckpt = match restore_from {
         Some(ckpt) => ckpt,
@@ -295,23 +258,7 @@ pub(crate) fn build_topology<B: ExecBackend<OpMsg>>(
             &genesis
         }
     };
-    Wiring::Grid(restore_grid(backend, b, ckpt, input, sink, idle_poll))
-}
-
-/// Drain/collect phase: verify the stream drained and extract the
-/// [`RunReport`] from the quiesced backend.
-pub(crate) fn collect<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    b: &SessionBuilder,
-    wiring: &Wiring,
-    pushed: u64,
-    end: SimTime,
-    prefix: &[(u64, u64)],
-) -> RunReport {
-    match wiring {
-        Wiring::Grid(w) => collect_grid(backend, b, w, pushed, end, prefix),
-        Wiring::Shj(w) => collect_shj(backend, b, w, pushed, end),
-    }
+    restore_grid(backend, b, ckpt, input, sink, idle_poll)
 }
 
 /// The salt every reshuffler hashes keys with under keyed routing —
@@ -321,22 +268,9 @@ pub(crate) fn skew_salt(seed: u64) -> u64 {
     aoj_core::ticket::mix64(seed ^ 0x5EED_5CA1_E5A1_7AB1)
 }
 
-/// Drain check shared by both collect phases: a quiesced run must have
-/// drained the whole stream — anything less means the flow-control
-/// window wedged (silent output loss).
-fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed: u64) {
-    let src_task = backend.task_ref::<SourceTask>(source_id);
-    assert_eq!(
-        src_task.cursor as u64,
-        pushed,
-        "source stalled with {} of {} tuples unsent (flow-control wedge)",
-        pushed - src_task.cursor as u64,
-        pushed
-    );
-}
-
-/// Drain/collect phase for grid operators.
-fn collect_grid<B: ExecBackend<OpMsg>>(
+/// Drain/collect phase: verify the stream drained and extract the
+/// [`RunReport`] from the quiesced backend.
+pub(crate) fn collect<B: ExecBackend<OpMsg>>(
     backend: &B,
     b: &SessionBuilder,
     wiring: &GridWiring,
@@ -344,7 +278,20 @@ fn collect_grid<B: ExecBackend<OpMsg>>(
     end: SimTime,
     prefix: &[(u64, u64)],
 ) -> RunReport {
-    assert_drained(backend, wiring.source_id, pushed);
+    // A quiesced run must have drained the whole stream — anything less
+    // means the flow-control window wedged (silent output loss).
+    let src = backend.task_ref::<SourceTask>(wiring.source_id);
+    assert_eq!(
+        src.cursor as u64,
+        pushed,
+        "source stalled with {} of {} tuples unsent (flow-control wedge)",
+        pushed - src.cursor as u64,
+        pushed
+    );
+    // The source's round-robin set is the active machine set at
+    // quiescence, and it is live on every backend (the TCP coordinator
+    // runs the source itself).
+    let final_j = src.active.len();
     let total = wiring.total;
 
     // Collect joiner-side stats (dormant children that never activated
@@ -400,7 +347,6 @@ fn collect_grid<B: ExecBackend<OpMsg>>(
     };
     let samples = progress_samples(backend);
     let final_mapping = controller.assign.mapping();
-    let final_j = controller.assign.j();
     let migrations = events
         .iter()
         .filter(|e| matches!(e, ControlEvent::Complete { .. }))
@@ -438,7 +384,12 @@ fn collect_grid<B: ExecBackend<OpMsg>>(
         .collect();
     let skew = SkewSummary::from_sketch(wiring.skew_board.merged());
 
-    let competitive = competitive_trace(b.j, prefix, &events, &routing_samples, wiring.initial);
+    // ILF/ILF* is defined for a grid mapping only; SHJ routes by key.
+    let competitive = if b.kind == OperatorKind::Shj {
+        Vec::new()
+    } else {
+        competitive_trace(b.j, prefix, &events, &routing_samples, wiring.initial)
+    };
 
     RunReport {
         operator: b.kind.label(),
@@ -478,7 +429,7 @@ fn collect_grid<B: ExecBackend<OpMsg>>(
     }
 }
 
-/// Snapshot a quiesced grid session into a [`Checkpoint`].
+/// Snapshot a quiesced session into a [`Checkpoint`].
 ///
 /// The backend must have drained to quiescence first (the session layer
 /// guarantees this by closing the ingest queue and running/joining the
@@ -500,12 +451,17 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
         "checkpoint requires a quiesced controller (reconfiguration in flight)"
     );
     let assign = controller.assign.clone();
-    let active: BTreeSet<usize> = assign.machines().collect();
-    let mut joiners = Vec::with_capacity(active.len());
-    for &machine in &active {
-        let jt = backend.task_ref::<JoinerTask>(w.joiner_ids[machine]);
+    // The born joiners are the active set: at quiescence they equal the
+    // grid's machines, and they also cover SHJ, whose one-cell
+    // placeholder mapping names machine 0 only.
+    let mut joiners = Vec::new();
+    for (machine, &jid) in w.joiner_ids.iter().enumerate() {
+        let jt = backend.task_ref::<JoinerTask>(jid);
+        if !jt.epoch.is_born() {
+            continue;
+        }
         assert!(
-            jt.epoch.is_born() && !jt.epoch.is_migrating(),
+            !jt.epoch.is_migrating(),
             "checkpoint requires every active joiner to be stable"
         );
         let tuples = jt.epoch.live_snapshot();
@@ -543,11 +499,12 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
     }
 }
 
-/// The snapshot every fresh grid operator starts from: epoch 0, the
-/// initial mapping on machine slots `0..J`, and one empty joiner per
-/// live slot. A restored joiner holds its state as one sealed sub-window
-/// segment; a genesis joiner holds zero segments, so assembling a fresh
-/// operator is restoring this snapshot.
+/// The snapshot every fresh operator starts from: epoch 0, the initial
+/// mapping on machine slots `0..J`, and one empty joiner per live slot.
+/// A restored joiner holds its state as one sealed sub-window segment; a
+/// genesis joiner holds zero segments, so assembling a fresh operator is
+/// restoring this snapshot. SHJ routes by key, not by mapping, so its
+/// snapshot carries the one-cell placeholder `(1, 1)`.
 pub(crate) fn genesis_checkpoint(b: &SessionBuilder) -> Checkpoint {
     let initial = match b.kind {
         OperatorKind::Dynamic | OperatorKind::StaticMid => Mapping::square(b.j),
@@ -555,7 +512,7 @@ pub(crate) fn genesis_checkpoint(b: &SessionBuilder) -> Checkpoint {
             "StaticOpt needs an oracle mapping (with_oracle_mapping): an online session \
              cannot know stream sizes ahead of time",
         ),
-        OperatorKind::Shj => unreachable!("SHJ is not a grid operator"),
+        OperatorKind::Shj => Mapping::new(1, 1),
     };
     Checkpoint {
         j: b.j,
@@ -581,13 +538,12 @@ pub(crate) fn genesis_checkpoint(b: &SessionBuilder) -> Checkpoint {
     }
 }
 
-/// Setup phase for a grid operator (Dynamic/StaticMid/StaticOpt): build
-/// the topology a [`Checkpoint`] describes — the machine-slot space, the
-/// checkpoint's grid assignment and elastic layout, every active joiner
-/// seeded with its live tuples — wired to drain `input` and emit matches
-/// into `sink`. A fresh operator restores its
-/// [`genesis_checkpoint`]. Schedules the source's bootstrap tick; the
-/// backend has not run yet.
+/// Setup phase for every operator kind: build the topology a
+/// [`Checkpoint`] describes — the machine-slot space, the checkpoint's
+/// grid assignment and elastic layout, every active joiner seeded with
+/// its live tuples — wired to drain `input` and emit matches into
+/// `sink`. A fresh operator restores its [`genesis_checkpoint`].
+/// Schedules the source's bootstrap tick; the backend has not run yet.
 pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
@@ -596,9 +552,14 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
     sink: Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
 ) -> GridWiring {
+    let key_partitioned = b.kind == OperatorKind::Shj;
     assert!(
-        b.j.is_power_of_two(),
+        b.j.is_power_of_two() || key_partitioned,
         "grid operators need a power-of-two J"
+    );
+    assert!(
+        !key_partitioned || matches!(b.predicate, Predicate::Equi),
+        "SHJ partitions on the join key: equi-joins only"
     );
     assert!(
         b.elasticity.elastic.is_none() || b.kind == OperatorKind::Dynamic,
@@ -639,7 +600,10 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
         .elastic
         .map(|e| provisioned_joiners(b.j, e.max_expansions) as usize)
         .unwrap_or(b.j as usize);
-    let active: BTreeSet<usize> = ckpt.assign.machines().collect();
+    // The checkpointed joiners are the active set: the assignment's
+    // machines for the grid kinds, all `J` for SHJ (whose one-cell
+    // placeholder mapping names machine 0 only).
+    let active: BTreeSet<usize> = ckpt.joiners.iter().map(|jc| jc.machine).collect();
     assert!(
         active.iter().all(|&m| m < total),
         "checkpoint references machine slots outside the provisioned space"
@@ -701,6 +665,7 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
             deactivated: !active.contains(&i),
             layout: ckpt.layout.clone(),
             skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
+            key_partitioned,
         };
         let id = backend.add_task(machines[i], Box::new(task));
         debug_assert_eq!(id, reshuffler_ids[i]);
@@ -718,7 +683,6 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
             b.data_plane.cost,
         );
         if let Some(jc) = ckpt.joiners.iter().find(|jc| jc.machine == i) {
-            assert!(active.contains(&i), "checkpointed joiner on inactive slot");
             task.epoch.restore(ckpt.epoch, &jc.tuples);
             task.evicted_tuples = jc.evicted_tuples;
             task.evicted_bytes = jc.evicted_bytes;
@@ -792,138 +756,6 @@ pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
         source_id,
         initial: ckpt.assign.mapping(),
         skew_board,
-    }
-}
-
-/// Setup phase for the SHJ baseline.
-fn setup_shj<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    b: &SessionBuilder,
-    input: Arc<IngestQueue>,
-    sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-) -> ShjWiring {
-    assert!(
-        b.lifecycle.window.is_none(),
-        "windowed eviction requires a grid operator \
-         (the SHJ baseline keeps no segmented index)"
-    );
-    backend.metrics_mut().sample_spacing = b.sample_spacing();
-    let j = b.j as usize;
-    let machines = add_machines(backend, b, j, |_| true);
-    let reshuffler_ids: Vec<TaskId> = (0..j).map(TaskId).collect();
-    let joiner_ids: Vec<TaskId> = (j..2 * j).map(TaskId).collect();
-
-    let source_id = TaskId(2 * j);
-    for (i, &machine) in machines.iter().enumerate().take(j) {
-        let task = ShjReshuffler {
-            joiner_tasks: joiner_ids.clone(),
-            cost: b.data_plane.cost,
-            source: source_id,
-            routed: 0,
-            recorder: (i == 0).then(|| ProgressRecorder::new(b.sample_spacing())),
-            batch: DataCoalescer::new(b.batch_config(), j),
-        };
-        backend.add_task(machine, Box::new(task));
-    }
-    for &machine in machines.iter().take(j) {
-        let mut task = ShjJoiner::new(
-            machine,
-            b.data_plane.cost,
-            SpillGauge::new(b.data_plane.ram_budget, b.data_plane.spill_penalty),
-            source_id,
-        );
-        task.collect_matches = b.backend.collect_matches;
-        task.match_sink = Some(Arc::clone(&sink));
-        backend.add_task(machine, Box::new(task));
-    }
-    let mut src = SourceTask::new(
-        input,
-        reshuffler_ids,
-        b.source.pacing,
-        b.source.window_copies,
-        b.data_plane.batch_tuples,
-    );
-    if let Some(poll) = idle_poll {
-        src = src.with_idle_poll(poll);
-    }
-    let id = backend.add_task(machines[j], Box::new(src));
-    debug_assert_eq!(id, source_id);
-    backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
-
-    ShjWiring {
-        j,
-        joiner_ids,
-        source_id,
-    }
-}
-
-/// Drain/collect phase for the SHJ baseline.
-fn collect_shj<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    b: &SessionBuilder,
-    wiring: &ShjWiring,
-    pushed: u64,
-    end: SimTime,
-) -> RunReport {
-    assert_drained(backend, wiring.source_id, pushed);
-
-    let mut matches = 0u64;
-    let mut latency = LatencyStats::default();
-    let mut match_pairs: Vec<(u64, u64)> = Vec::new();
-    let mut match_digest = MatchDigest::default();
-    for &jid in &wiring.joiner_ids {
-        let jt = backend.task_ref::<ShjJoiner>(jid);
-        matches += jt.matches;
-        latency.merge(&jt.latency);
-        match_pairs.extend_from_slice(&jt.match_log);
-        match_digest.merge(&jt.match_digest);
-    }
-    match_pairs.sort_unstable();
-    let samples = progress_samples(backend);
-    let metrics = backend.metrics();
-    let max_spilled = metrics
-        .machines()
-        .iter()
-        .map(|m| m.spilled_bytes)
-        .max()
-        .unwrap_or(0);
-
-    RunReport {
-        operator: OperatorKind::Shj.label(),
-        backend: backend.backend_name(),
-        workload: b.workload.clone(),
-        j: b.j,
-        input_tuples: pushed,
-        exec_time: end.since(SimTime::ZERO),
-        matches,
-        throughput: pushed as f64 / end.as_secs_f64().max(1e-9),
-        max_ilf_bytes: metrics.max_stored_bytes(),
-        avg_ilf_bytes: metrics.total_stored_bytes() as f64 / b.j as f64,
-        total_storage_bytes: metrics.total_stored_bytes(),
-        network_bytes: metrics.total_bytes_sent(),
-        network_messages: metrics.total_messages(),
-        migration_bytes: 0,
-        migrations: 0,
-        expansions: 0,
-        contractions: 0,
-        expand_transfers: Vec::new(),
-        contract_transfers: Vec::new(),
-        provisioned_machines: backend.provisioned_machines() as u64,
-        peak_provisioned_machines: backend.peak_provisioned_machines() as u64,
-        machines: Vec::new(),
-        skew: SkewSummary::default(),
-        max_spilled_bytes: max_spilled,
-        avg_latency_us: latency.avg_us(),
-        p50_latency_us: latency.percentile_us(0.50),
-        p99_latency_us: latency.percentile_us(0.99),
-        max_latency_us: latency.max_us,
-        final_mapping: Mapping::new(1, 1),
-        samples,
-        events: Vec::new(),
-        competitive: Vec::new(),
-        match_pairs,
-        match_digest,
     }
 }
 

@@ -3,15 +3,18 @@
 //! Wires the algorithmic core (`aoj-core`) and the local join algorithms
 //! (`aoj-joinalg`) onto the deterministic cluster simulator
 //! (`aoj-simnet`), reproducing the four operators of the paper's
-//! evaluation (§5):
+//! evaluation (§5). All four run on one topology — `J` reshufflers + `J`
+//! joiners, controller = reshuffler 0 — and differ only in how the
+//! reshufflers route:
 //!
-//! * **Dynamic** — the adaptive operator: `J` reshufflers + `J` joiners,
-//!   controller = reshuffler 0, Alg. 1 statistics, Alg. 2 decisions, the
-//!   non-blocking epoch protocol of Alg. 3, locality-aware exchanges;
+//! * **Dynamic** — the adaptive operator: Alg. 1 statistics, Alg. 2
+//!   decisions, the non-blocking epoch protocol of Alg. 3,
+//!   locality-aware exchanges;
 //! * **StaticMid** — fixed `(√J, √J)` grid;
 //! * **StaticOpt** — fixed oracle-optimal grid (knows stream sizes ahead
 //!   of time);
-//! * **SHJ** — content-sensitive parallel symmetric hash join.
+//! * **SHJ** — content-sensitive parallel symmetric hash join: each
+//!   tuple goes to joiner `hash(key) mod J` (equi-joins only, any `J`).
 //!
 //! Two entry points share the same machinery:
 //!
@@ -34,7 +37,6 @@ pub mod messages;
 pub mod report;
 pub mod reshuffler;
 pub mod session;
-pub mod shj;
 pub mod skew;
 pub mod source;
 pub mod supervise;

@@ -188,11 +188,11 @@ pub struct RunReport {
     /// load does.
     pub peak_provisioned_machines: u64,
     /// Per-machine-slot gauges at quiescence (index = machine slot;
-    /// retired machines read zero). Empty for SHJ runs.
+    /// retired machines read zero).
     pub machines: Vec<MachineStats>,
     /// Heavy-hitter and load-quantile summary merged from the
-    /// reshufflers' published sketches. Default (empty) for SHJ runs and
-    /// runs too short to publish.
+    /// reshufflers' published sketches. Default (empty) for runs too
+    /// short to publish.
     pub skew: SkewSummary,
     /// Peak spilled bytes on the worst machine (0 = fully in memory).
     pub max_spilled_bytes: u64,
@@ -205,13 +205,15 @@ pub struct RunReport {
     pub p99_latency_us: u64,
     /// Maximum sampled latency.
     pub max_latency_us: u64,
-    /// Final mapping the operator ran with.
+    /// Final mapping the operator ran with (the one-cell placeholder
+    /// `(1, 1)` for SHJ, which routes by key).
     pub final_mapping: Mapping,
     /// Progress timeline (ILF growth, execution-time progress).
     pub samples: Vec<ProgressSample>,
     /// Controller decision/completion log.
     pub events: Vec<ControlEvent>,
-    /// `ILF/ILF*` trace (adaptive runs; empty otherwise).
+    /// `ILF/ILF*` trace of offline fixed-`J` runs; empty for SHJ, whose key
+    /// routing has no grid mapping to compare against `ILF*`.
     pub competitive: Vec<RatioSample>,
     /// Emitted pair identities `(R seq, S seq)`, sorted — only filled
     /// when [`BackendSection::collect_matches`] is set (equivalence

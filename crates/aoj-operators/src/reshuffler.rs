@@ -12,7 +12,7 @@ use aoj_core::elastic::{plan_contraction, plan_expansion_with, ElasticLayout};
 use aoj_core::epoch::Epoch;
 use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
 use aoj_core::migration::plan_step;
-use aoj_core::ticket::{partition, TicketGen};
+use aoj_core::ticket::{mix64, partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_simnet::{Ctx, MachineId, Process, SimDuration, SimTime, TaskId};
 
@@ -220,6 +220,10 @@ pub struct ReshufflerTask {
     /// Routing policy plus the per-relation skew sketch this reshuffler
     /// maintains as it routes (published to the session's `SkewBoard`).
     pub skew: SkewState,
+    /// SHJ routing (§5 "Operators", item iv): each tuple goes to exactly
+    /// one joiner, `mix64(key) mod J`, instead of a grid row or column.
+    /// No replication, but skewed keys pile onto few machines.
+    pub key_partitioned: bool,
 }
 
 impl ControllerState {
@@ -285,6 +289,11 @@ impl ReshufflerTask {
             ticket,
         };
         let copies = match rel {
+            _ if self.key_partitioned => {
+                let j = self.joiner_tasks.len() as u64;
+                self.buffer_to(ctx, (mix64(key as u64) % j) as usize, t, arrived);
+                1
+            }
             Rel::R => {
                 let row = partition(ticket, mp.n);
                 for c in 0..mp.m {

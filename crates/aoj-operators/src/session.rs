@@ -72,7 +72,7 @@ use aoj_simnet::{
 
 use crate::batch::BatchConfig;
 use crate::driver::{
-    build_checkpoint, build_topology, collect, BackendChoice, OperatorKind, Wiring,
+    build_checkpoint, build_topology, collect, BackendChoice, GridWiring, OperatorKind,
 };
 use crate::elastic_runtime::ElasticConfig;
 use crate::messages::{Match, OpMsg};
@@ -865,11 +865,11 @@ pub struct ElasticitySection {
 /// State-lifecycle knobs: windowed eviction (see
 /// [`aoj_core::lifecycle`]). Checkpoint/restore needs no configuration —
 /// [`SessionHandle::checkpoint`] and [`JoinSession::restore`] work on
-/// any grid session.
+/// every operator kind.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LifecycleSection {
     /// Per-joiner retention window; `None` stores every tuple forever
-    /// (the pre-lifecycle behaviour, bit for bit). Grid operators only.
+    /// (the pre-lifecycle behaviour, bit for bit). Every operator kind.
     ///
     /// Configuring a window also switches an elastic session's
     /// contraction arming to **drain-driven**: the 4→1 merge fires on
@@ -951,7 +951,8 @@ const DEFAULT_MATCH_BUFFER: usize = 1024;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SessionBuilder {
-    /// Number of joiners (machines). Power of two for grid operators.
+    /// Number of joiners (machines). Power of two for every operator
+    /// kind except SHJ, which hashes keys onto any `J`.
     pub j: u32,
     /// Which operator to run.
     pub kind: OperatorKind,
@@ -1265,41 +1266,24 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     fn session_gauges(&mut self) -> Arc<SharedGauges>;
 
     /// Install the coordinator-side [`SkewBoard`] the backend should
-    /// publish worker sketch summaries into (slot = worker index). The
-    /// default ignores it — a backend without sketch transport simply
-    /// reports an empty skew summary.
-    fn install_skew_board(&mut self, board: Arc<SkewBoard>) {
-        let _ = board;
-    }
+    /// publish worker sketch summaries into (slot = worker index).
+    fn install_skew_board(&mut self, board: Arc<SkewBoard>);
 
     /// The typed death log the backend's failure detector records into,
-    /// read by [`SessionHandle::health`]. `None` (the default) means the
-    /// backend has no failure detection.
-    fn fault_log(&mut self) -> Option<FaultLog> {
-        None
-    }
+    /// read by [`SessionHandle::health`].
+    fn fault_log(&mut self) -> FaultLog;
 
     /// A handle that kills the given machine's worker (SIGKILL or
     /// equivalent) mid-run — the [`SessionHandle::inject_kill`] surface.
-    /// `None` (the default) means the backend cannot inject kills.
-    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
-        None
-    }
+    fn kill_handle(&mut self) -> Box<dyn Fn(usize) + Send + Sync>;
 
     /// A handle that aborts the backend's run loop without waiting for
-    /// quiescence — the [`SessionHandle::abandon`] surface. `None` (the
-    /// default) means the run can only end by draining.
-    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
-        None
-    }
+    /// quiescence — the [`SessionHandle::abandon`] surface.
+    fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync>;
 
     /// Install a checkpoint the backend's workers should restore from
-    /// instead of building fresh state. Returns `false` (the default)
-    /// when the backend cannot ship restored state to its workers.
-    fn install_restore(&mut self, ckpt: &Checkpoint) -> bool {
-        let _ = ckpt;
-        false
-    }
+    /// instead of building fresh state.
+    fn install_restore(&mut self, ckpt: &Checkpoint);
 }
 
 /// Factory building a [`BackendChoice::Tcp`] backend for one session.
@@ -1319,19 +1303,19 @@ enum Inner {
     /// The deterministic simulator, pumped inline by the owner.
     Sim {
         sim: Box<Sim<OpMsg>>,
-        wiring: Wiring,
+        wiring: GridWiring,
     },
     /// The threaded runtime, running concurrently on its own threads.
     Threaded {
         runner: JoinHandle<(Runtime<OpMsg>, SimTime)>,
-        wiring: Wiring,
+        wiring: GridWiring,
         gauges: Arc<SharedGauges>,
     },
     /// An externally registered backend (the TCP process backend),
     /// running concurrently like the threaded runtime.
     External {
         runner: JoinHandle<(Box<dyn NetBackend>, SimTime)>,
-        wiring: Wiring,
+        wiring: GridWiring,
         gauges: Arc<SharedGauges>,
     },
 }
@@ -1360,11 +1344,6 @@ impl JoinSession {
             builder.source.window_copies,
             builder.j,
             crate::joiner_task::JoinerTask::CREDIT_BATCH,
-        );
-        assert!(
-            builder.lifecycle.window.is_none() || builder.kind != OperatorKind::Shj,
-            "windowed eviction requires a grid operator \
-             (the SHJ baseline keeps no segmented index)"
         );
         let queue =
             IngestQueue::bounded(builder.queue_capacity(), builder.backend.track_competitive);
@@ -1410,9 +1389,6 @@ impl JoinSession {
     ) -> io::Result<SessionHandle> {
         let ckpt = Checkpoint::read_from(path)?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if builder.kind == OperatorKind::Shj {
-            return Err(invalid("checkpoints cover grid operators only".into()));
-        }
         if ckpt.j != builder.j || ckpt.kind != builder.kind.label() || ckpt.seed != builder.seed {
             return Err(invalid(format!(
                 "checkpoint fingerprint mismatch: snapshot is (j={}, kind={}, seed={:#x}), \
@@ -1544,12 +1520,8 @@ fn launch(
             let mut backend = factory(&builder, Arc::clone(&hub));
             if let Some(ckpt) = restore_from {
                 // The workers rebuild restored state from the snapshot
-                // shipped in their Plan; a backend that cannot carry it
-                // would silently restart from empty state instead.
-                assert!(
-                    backend.install_restore(ckpt),
-                    "the registered TCP backend does not support checkpoint restore"
-                );
+                // shipped in their Plan.
+                backend.install_restore(ckpt);
             }
             let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
             let mut wiring = build_topology(
@@ -1563,21 +1535,18 @@ fn launch(
             // The coordinator's locally-built reshuffler tasks never
             // run, so their board never fills. Swap in a board the
             // backend feeds from worker gauge frames (slot = worker).
-            if let Wiring::Grid(w) = &mut wiring {
-                let board = SkewBoard::new(w.total);
-                backend.install_skew_board(Arc::clone(&board));
-                w.skew_board = board;
-            }
+            wiring.skew_board = SkewBoard::new(wiring.total);
+            backend.install_skew_board(Arc::clone(&wiring.skew_board));
             let gauges = backend.session_gauges();
             // Capture the fault surfaces before the runner thread takes
             // the backend: the death log its failure detector records
             // into, plus the SIGKILL and reactor-abort levers.
             let fault = FaultControls {
-                log: backend.fault_log(),
+                log: Some(backend.fault_log()),
                 arm: None,
                 kill_sw: None,
-                kill_fn: backend.kill_handle(),
-                abort_fn: backend.abort_handle(),
+                kill_fn: Some(backend.kill_handle()),
+                abort_fn: Some(backend.abort_handle()),
             };
             let runner = std::thread::Builder::new()
                 .name("aoj-session-net".to_string())
@@ -1610,26 +1579,25 @@ fn launch(
 /// An assembled operator topology, opaque except for what an
 /// out-of-process backend needs to drive it.
 pub struct SessionTopology {
-    wiring: Wiring,
+    wiring: GridWiring,
 }
 
 impl SessionTopology {
     /// The source task's id (hosted on the last-registered machine).
     pub fn source_id(&self) -> TaskId {
-        self.wiring.source_id()
+        self.wiring.source_id
     }
 
     /// Registered joiner machine slots (excluding the source machine).
     pub fn machine_slots(&self) -> usize {
-        self.wiring.machine_slots()
+        self.wiring.total
     }
 
-    /// The skew board this topology's reshufflers publish into (grid
-    /// operators only). A worker process ships the board's merged parts
-    /// in its gauge frames so the coordinator sees the cluster-wide
-    /// sketch.
-    pub fn skew_board(&self) -> Option<Arc<SkewBoard>> {
-        self.wiring.skew_board().cloned()
+    /// The skew board this topology's reshufflers publish into. A worker
+    /// process ships the board's merged parts in its gauge frames so the
+    /// coordinator sees the cluster-wide sketch.
+    pub fn skew_board(&self) -> Arc<SkewBoard> {
+        Arc::clone(&self.wiring.skew_board)
     }
 }
 
@@ -1704,7 +1672,7 @@ impl SessionHandle {
             Inner::Threaded { .. } | Inner::External { .. } => self.queue.push(rel, item),
             Inner::Sim { sim, wiring } => {
                 sim_push(&self.queue, sim, wiring, rel, item)?;
-                pump_sim(sim, wiring.source_id(), &self.queue);
+                pump_sim(sim, wiring.source_id, &self.queue);
                 Ok(())
             }
         }
@@ -1718,7 +1686,7 @@ impl SessionHandle {
             Inner::Threaded { .. } | Inner::External { .. } => self.queue.try_push(rel, item),
             Inner::Sim { sim, wiring } => {
                 sim_push(&self.queue, sim, wiring, rel, item)?;
-                pump_sim(sim, wiring.source_id(), &self.queue);
+                pump_sim(sim, wiring.source_id, &self.queue);
                 Ok(())
             }
         }
@@ -1744,7 +1712,7 @@ impl SessionHandle {
                     sim_push(&self.queue, sim, wiring, rel, item)?;
                     n += 1;
                 }
-                pump_sim(sim, wiring.source_id(), &self.queue);
+                pump_sim(sim, wiring.source_id, &self.queue);
             }
         }
         Ok(n)
@@ -1785,7 +1753,7 @@ impl SessionHandle {
     /// feeding tuples through an [`IngestHandle`] from another thread.
     pub fn pump(&mut self) {
         if let Some(Inner::Sim { sim, wiring }) = self.inner.as_mut() {
-            pump_sim(sim, wiring.source_id(), &self.queue);
+            pump_sim(sim, wiring.source_id, &self.queue);
         }
     }
 
@@ -1898,7 +1866,7 @@ impl SessionHandle {
         let (machines, processed) = match inner {
             Inner::Sim { sim, wiring } => {
                 let m = sim.metrics();
-                let machines = (0..wiring.machine_slots())
+                let machines = (0..wiring.total)
                     .map(|i| MachineStats {
                         machine: i,
                         stored_bytes: m.stored_bytes_of(MachineId(i)),
@@ -1910,7 +1878,7 @@ impl SessionHandle {
                 (machines, m.data_processed)
             }
             Inner::Threaded { gauges, wiring, .. } | Inner::External { gauges, wiring, .. } => {
-                let machines = (0..wiring.machine_slots())
+                let machines = (0..wiring.total)
                     .map(|i| MachineStats {
                         machine: i,
                         stored_bytes: gauges.stored(MachineId(i)),
@@ -1927,7 +1895,7 @@ impl SessionHandle {
             | Inner::Threaded { wiring, .. }
             | Inner::External { wiring, .. } => wiring,
         };
-        let skew = SkewSummary::from_sketch(wiring.skew_board().and_then(|b| b.merged()));
+        let skew = SkewSummary::from_sketch(wiring.skew_board.merged());
         SessionStats {
             pushed_tuples: self.queue.pushed(),
             queued_tuples: self.queue.queued(),
@@ -1969,7 +1937,7 @@ impl SessionHandle {
         let prefix = self.queue.prefix();
         let report = match self.inner.take().expect("session already closed") {
             Inner::Sim { mut sim, wiring } => {
-                let end = pump_sim(&mut sim, wiring.source_id(), &self.queue);
+                let end = pump_sim(&mut sim, wiring.source_id, &self.queue);
                 // A clock-scheduled kill can land inside this final
                 // pump, after the entry guard: refuse the partial
                 // output the same way.
@@ -2039,13 +2007,13 @@ impl SessionHandle {
         let prefix = self.queue.prefix();
         let (report, ckpt) = match self.inner.take().expect("session already closed") {
             Inner::Sim { mut sim, wiring } => {
-                let end = pump_sim(&mut sim, wiring.source_id(), &self.queue);
+                let end = pump_sim(&mut sim, wiring.source_id, &self.queue);
                 assert!(
                     sim.deaths().is_empty(),
                     "checkpoint() drain crossed an injected kill; \
                      recover with JoinSession::restore_with_replay"
                 );
-                let ckpt = checkpoint_of(&*sim, &self.builder, &wiring)?;
+                let ckpt = build_checkpoint(&*sim, &self.builder, &wiring);
                 let report = collect(&*sim, &self.builder, &wiring, pushed, end, &prefix);
                 (report, ckpt)
             }
@@ -2054,7 +2022,7 @@ impl SessionHandle {
                     Ok(v) => v,
                     Err(payload) => std::panic::resume_unwind(payload),
                 };
-                let ckpt = checkpoint_of(&rt, &self.builder, &wiring)?;
+                let ckpt = build_checkpoint(&rt, &self.builder, &wiring);
                 let report = collect(&rt, &self.builder, &wiring, pushed, end, &prefix);
                 (report, ckpt)
             }
@@ -2133,20 +2101,6 @@ fn join_or_abort<T>(runner: std::thread::JoinHandle<T>, fault: &FaultControls) {
     }
 }
 
-fn checkpoint_of<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    builder: &SessionBuilder,
-    wiring: &Wiring,
-) -> io::Result<Checkpoint> {
-    match wiring {
-        Wiring::Grid(w) => Ok(build_checkpoint(backend, builder, w)),
-        Wiring::Shj(_) => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "checkpoints cover grid operators only",
-        )),
-    }
-}
-
 impl Drop for SessionHandle {
     fn drop(&mut self) {
         // A handle dropped without close(): release everything that
@@ -2180,13 +2134,13 @@ impl Drop for SessionHandle {
 fn sim_push(
     queue: &IngestQueue,
     sim: &mut Sim<OpMsg>,
-    wiring: &Wiring,
+    wiring: &GridWiring,
     rel: Rel,
     item: StreamItem,
 ) -> Result<(), PushError> {
     match queue.try_push(rel, item) {
         Err(PushError::Full) => {
-            pump_sim(sim, wiring.source_id(), queue);
+            pump_sim(sim, wiring.source_id, queue);
             match queue.try_push(rel, item) {
                 Err(PushError::Full) => panic!(
                     "flow-control wedge: the simulator quiesced with the ingest queue \

@@ -64,6 +64,7 @@ fn reshuffler(seed: u64, batch_tuples: usize) -> ReshufflerTask {
         // Default policy: random tickets, so routing stays bit-identical
         // to the pre-sketch plane this property pins.
         skew: SkewState::new(SkewPolicy::default(), 0),
+        key_partitioned: false,
     }
 }
 

@@ -445,32 +445,37 @@ fn restore_with_replay_is_exactly_once() {
     let arrivals = interleave(&w, seed);
     let expected = in_window_pairs(&arrivals, u64::MAX);
     let cut = arrivals.len() / 2;
-    let path = ckpt_path("replay.ckpt");
 
-    let builder = |_| {
-        SessionBuilder::new(4, OperatorKind::Dynamic)
-            .with_predicate(w.predicate.clone())
-            .with_seed(seed)
-            .with_collect_matches(true)
-    };
-    let mut session = JoinSession::open(builder(()));
-    session.push_batch(arrivals[..cut].iter().copied()).unwrap();
-    let pre = session.checkpoint(&path).unwrap();
+    for kind in [OperatorKind::Dynamic, OperatorKind::Shj] {
+        let path = ckpt_path(&format!("replay-{}.ckpt", kind.label()));
+        let builder = |_| {
+            SessionBuilder::new(4, kind)
+                .with_predicate(w.predicate.clone())
+                .with_seed(seed)
+                .with_collect_matches(true)
+        };
+        let mut session = JoinSession::open(builder(()));
+        session.push_batch(arrivals[..cut].iter().copied()).unwrap();
+        let pre = session.checkpoint(&path).unwrap();
 
-    let mut restored = JoinSession::restore_with_replay(builder(()), &path, 0).unwrap();
-    // Replay the *entire* stream; the session must drop the prefix.
-    restored.push_batch(arrivals.iter().copied()).unwrap();
-    let post = restored.close();
+        let mut restored = JoinSession::restore_with_replay(builder(()), &path, 0).unwrap();
+        // Replay the *entire* stream; the session must drop the prefix.
+        restored.push_batch(arrivals.iter().copied()).unwrap();
+        let post = restored.close();
 
-    let mut union: Vec<(u64, u64)> = pre
-        .match_pairs
-        .iter()
-        .chain(post.match_pairs.iter())
-        .copied()
-        .collect();
-    union.sort_unstable();
-    assert_eq!(union, expected, "replay broke exactly-once delivery");
-    std::fs::remove_file(&path).ok();
+        let mut union: Vec<(u64, u64)> = pre
+            .match_pairs
+            .iter()
+            .chain(post.match_pairs.iter())
+            .copied()
+            .collect();
+        union.sort_unstable();
+        assert_eq!(
+            union, expected,
+            "{kind:?}: replay broke exactly-once delivery"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Restore refuses a mismatched configuration: the checkpoint

@@ -8,7 +8,7 @@ use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::{fluctuating, interleave, Arrivals};
-use aoj_operators::{run, OperatorKind, SessionBuilder};
+use aoj_operators::{run, BackendChoice, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,6 +123,45 @@ fn shj_is_exact_for_equi_joins() {
     let cfg = builder(&w, 16, OperatorKind::Shj);
     let report = run(&arrivals, &cfg);
     assert_eq!(report.matches, expected);
+}
+
+/// Key partitioning is exact only for equality: a band pair whose keys
+/// differ lands on two joiners and never meets. SHJ must refuse such a
+/// predicate instead of silently dropping matches.
+#[test]
+#[should_panic(expected = "SHJ partitions on the join key: equi-joins only")]
+fn shj_refuses_non_equi_predicates() {
+    let item = |key: i64| StreamItem {
+        key,
+        aux: 0,
+        bytes: 64,
+    };
+    let w = Workload {
+        name: "band",
+        predicate: Predicate::Band { width: 2 },
+        r_items: (0..200).map(item).collect(),
+        s_items: (1..201).map(item).collect(),
+    };
+    let arrivals = interleave(&w, 4);
+    run(&arrivals, &builder(&w, 4, OperatorKind::Shj));
+}
+
+/// SHJ hashes keys onto any number of joiners: J need not be a power of
+/// two, on the simulator or on a live backend.
+#[test]
+fn shj_runs_at_any_cluster_size() {
+    let w = synthetic_workload(400, 1200, 40, 19);
+    let arrivals = interleave(&w, 7);
+    let expected = reference_matches(&arrivals, &w.predicate);
+    for j in [3, 6, 12] {
+        for choice in [BackendChoice::Sim, BackendChoice::Threaded] {
+            let report = run(
+                &arrivals,
+                &builder(&w, j, OperatorKind::Shj).with_backend(choice),
+            );
+            assert_eq!(report.matches, expected, "J={j} on {choice:?}");
+        }
+    }
 }
 
 #[test]
